@@ -38,19 +38,6 @@ EXIT_TIMEOUT = 2
 EXIT_ERROR = 3
 
 
-def convert_external_instance(path: str | Path) -> Instance:
-    """Conversion point for third-party benchmark archives.
-
-    Downloadable PUP benchmark collections ship in assorted encodings; none
-    is implemented here.  Convert such files to the instance grammar of this
-    package (see core) and feed them to bench as usual.
-    """
-    raise NotImplementedError(
-        f"no converter for external archive formats (got {path}); "
-        "rewrite the file in this package's instance grammar instead"
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -224,6 +211,7 @@ def cmd_bench(args) -> int:
             "delta_units": None,
             "search_ms": None,
             "minimize_ms": None,
+            "freeze_ms": None,
             "note": "ok",
         }
         try:
@@ -238,6 +226,7 @@ def cmd_bench(args) -> int:
         rec["outcome"] = result.outcome.value
         rec["search_ms"] = round(result.stats.search_ms, 3)
         rec["minimize_ms"] = round(result.stats.minimize_ms, 3)
+        rec["freeze_ms"] = round(result.stats.freeze_ms, 3)
         if result.outcome is Outcome.SATISFIABLE:
             rec["units"] = count_units(result.solution)
             if expected not in (None, "UNSAT"):
@@ -252,8 +241,10 @@ def cmd_bench(args) -> int:
                 any_bad = True
         records.append(rec)
 
-    widths = (40, 14, 6, 9, 7, 10, 12)
-    header = ("instance", "outcome", "units", "expected", "+units", "search_ms", "minimize_ms")
+    widths = (40, 14, 6, 9, 7, 10, 12, 10)
+    header = (
+        "instance", "outcome", "units", "expected", "+units", "search_ms", "minimize_ms", "freeze_ms"
+    )
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "  note")
     for rec in records:
         cells = (
@@ -264,6 +255,7 @@ def cmd_bench(args) -> int:
             str(rec["delta_units"] if rec["delta_units"] is not None else "-"),
             str(rec["search_ms"] if rec["search_ms"] is not None else "-"),
             str(rec["minimize_ms"] if rec["minimize_ms"] is not None else "-"),
+            str(rec["freeze_ms"] if rec["freeze_ms"] is not None else "-"),
         )
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + f"  {rec['note']}")
     if args.records:

@@ -259,16 +259,15 @@ class SolveConfig:
 
     ``max_units`` of None means the safe default |indicators| + |sensors|,
     which makes an Unsatisfiable answer hold for any number of units.
-    ``seedless_deterministic`` documents the sequential-mode guarantee: all
-    tie-breaking is by stable index, there is no randomness to seed.  Parallel
-    mode trades that reproducibility for an entry-point portfolio.
+    Sequential mode is deterministic: all tie-breaking is by stable index,
+    there is no randomness to seed.  Parallel mode trades that
+    reproducibility for an entry-point portfolio.
     """
 
     max_time_ms: int = 600_000
     max_units: int | None = None
     minimize: bool = True
     parallel: bool = False
-    seedless_deterministic: bool = True
 
     def __post_init__(self):
         if self.max_time_ms < 1:

@@ -101,6 +101,7 @@ class SearchStats:
     per_entry_ms: list[tuple[str, float]] = field(default_factory=list)
     search_ms: float = 0.0
     minimize_ms: float = 0.0
+    freeze_ms: float = 0.0
     units_before_minimize: int | None = None
     units_after_minimize: int | None = None
     precheck: str | None = None
@@ -113,6 +114,7 @@ class SearchStats:
             f"backtracks {self.backtracks}",
             f"search_ms {self.search_ms:.3f}",
             f"minimize_ms {self.minimize_ms:.3f}",
+            f"freeze_ms {self.freeze_ms:.3f}",
         ]
         if self.precheck is not None:
             lines.append(f"precheck {self.precheck}")
@@ -145,6 +147,11 @@ class PartialModel:
     journal; undo_assign_and_connect / drop_unit pop and verify the matching
     entry, so a replayed journal restores the exact prior state.  A mismatch
     is a program-logic fault and raises RuntimeError.
+
+    Partnerships live in one place: ``_partners[u]`` is the set of unit
+    indices partnered with unit u.  The relation is symmetric, never holds
+    u itself, and a set never grows past iucap because placement refuses any
+    connection that would exceed it; its length is the partner count.
     """
 
     def __init__(self, inst: Instance, max_units: int | None = None):
@@ -164,8 +171,7 @@ class PartialModel:
         self._id2unit: dict[str, int] = {}
         self._ind_count: list[int] = []
         self._sens_count: list[int] = []
-        self._pmask: list[int] = []
-        self._pcount: list[int] = []
+        self._partners: list[set[int]] = []
         self._members: list[list[int]] = []
         self._dead: list[bool] = []
         self._journal: list[tuple] = []
@@ -180,8 +186,7 @@ class PartialModel:
             self._id2unit[uid] = u
             self._ind_count.append(0)
             self._sens_count.append(0)
-            self._pmask.append(0)
-            self._pcount.append(0)
+            self._partners.append(set())
             self._members.append([])
             self._dead.append(False)
         self._n_units = u + 1
@@ -192,7 +197,7 @@ class PartialModel:
         entry = self._journal.pop() if self._journal else None
         if entry != ("unit", u):
             raise RuntimeError(f"undo journal mismatch: expected unit creation of {u}, got {entry}")
-        if u != self._n_units - 1 or self._members[u] or self._pmask[u]:
+        if u != self._n_units - 1 or self._members[u] or self._partners[u]:
             raise RuntimeError(f"unit {u} cannot be dropped: not the last empty unconnected unit")
         self._n_units = u
 
@@ -204,17 +209,18 @@ class PartialModel:
             return False
         # the partner connections this placement forces, deduplicated
         needed: list[int] = []
-        budget = self.iucap - self._pcount[u]
-        pmask_u = self._pmask[u]
+        partners = self._partners
+        partners_u = partners[u]
+        budget = self.iucap - len(partners_u)
         unit_of = self._elem_unit
         for nb in self._nbr[e]:
             w = unit_of[nb]
-            if w < 0 or w == u or (pmask_u >> w) & 1 or w in needed:
+            if w < 0 or w == u or w in partners_u or w in needed:
                 continue
             needed.append(w)
             if len(needed) > budget:
                 return False
-            if self._pcount[w] >= self.iucap:
+            if len(partners[w]) >= self.iucap:
                 return False
         self._elem_unit[e] = u
         self._members[u].append(e)
@@ -223,10 +229,8 @@ class PartialModel:
         else:
             self._sens_count[u] += 1
         for w in needed:
-            self._pmask[u] |= 1 << w
-            self._pmask[w] |= 1 << u
-            self._pcount[u] += 1
-            self._pcount[w] += 1
+            partners_u.add(w)
+            partners[w].add(u)
         self._journal.append(("place", e, u, tuple(needed)))
         return True
 
@@ -243,10 +247,8 @@ class PartialModel:
         else:
             self._sens_count[u] -= 1
         for w in entry[3]:
-            self._pmask[u] &= ~(1 << w)
-            self._pmask[w] &= ~(1 << u)
-            self._pcount[u] -= 1
-            self._pcount[w] -= 1
+            self._partners[u].discard(w)
+            self._partners[w].discard(u)
 
     # -- id-based public surface --
 
@@ -299,9 +301,7 @@ class PartialModel:
         return None if u < 0 else self._unit_ids[u]
 
     def partners_of(self, unit: str) -> tuple[str, ...]:
-        u = self._unit_idx(unit)
-        mask = self._pmask[u]
-        return tuple(self._unit_ids[w] for w in range(self._n_units) if (mask >> w) & 1)
+        return tuple(self._unit_ids[w] for w in sorted(self._partners[self._unit_idx(unit)]))
 
     def snapshot(self) -> tuple:
         """Structural state for equality checks in tests."""
@@ -311,21 +311,28 @@ class PartialModel:
             n,
             tuple(self._ind_count[:n]),
             tuple(self._sens_count[:n]),
-            tuple(self._pmask[:n]),
-            tuple(self._pcount[:n]),
+            tuple(tuple(sorted(p)) for p in self._partners[:n]),
             tuple(tuple(m) for m in self._members[:n]),
             tuple(self._dead[:n]),
         )
 
     def check_counters(self) -> None:
-        """Recompute all per-unit counters and compare with the running ones."""
-        for u in range(self._n_units):
+        """Recompute the capacity counters and check the partner sets."""
+        n = self._n_units
+        for u in range(n):
             ind = sum(1 for e in self._members[u] if self._is_ind[e])
             sen = len(self._members[u]) - ind
             if ind != self._ind_count[u] or sen != self._sens_count[u]:
                 raise RuntimeError(f"stale capacity counters on unit {u}")
-            if self._pmask[u].bit_count() != self._pcount[u]:
-                raise RuntimeError(f"stale partner counter on unit {u}")
+            partners = self._partners[u]
+            if u in partners:
+                raise RuntimeError(f"unit {u} is its own partner")
+            if len(partners) > self.iucap:
+                raise RuntimeError(f"unit {u} has more than iucap partners")
+            if self._dead[u] and partners:
+                raise RuntimeError(f"merged-away unit {u} still has partners")
+            if any(w >= n or u not in self._partners[w] for w in partners):
+                raise RuntimeError(f"asymmetric partnership on unit {u}")
         for e, u in enumerate(self._elem_unit):
             if u >= 0 and e not in self._members[u]:
                 raise RuntimeError(f"element {e} missing from its unit member list")
@@ -344,16 +351,13 @@ class PartialModel:
             u = self._elem_unit[e]
             if u >= 0:
                 assignment[name] = rename[u]
-        partners: set[tuple[str, str]] = set()
-        for u in live:
-            mask = self._pmask[u]
-            for w in live:
-                if w != u and (mask >> w) & 1:
-                    partners.add((rename[u], rename[w]))
+        partners = frozenset(
+            (rename[u], rename[w]) for u in live for w in self._partners[u] if w in rename
+        )
         return SolutionGraph(
             units=tuple(rename[u] for u in live),
             assignment=assignment,
-            partners=frozenset(partners),
+            partners=partners,
             indicators=self.inst.indicators,
             sensors=self.inst.sensors,
         )
@@ -438,6 +442,7 @@ def minimize(m: PartialModel) -> PartialModel:
     Never increases the unit count and preserves solution consistency.
     """
     ucap, iucap = m.ucap, m.iucap
+    partners = m._partners
     n = m._n_units
     for a in range(n):
         if m._dead[a]:
@@ -449,14 +454,14 @@ def minimize(m: PartialModel) -> PartialModel:
                 continue
             if m._sens_count[a] + m._sens_count[b] > ucap:
                 continue
-            merged_mask = (m._pmask[a] | m._pmask[b]) & ~((1 << a) | (1 << b))
-            if merged_mask.bit_count() > iucap:
+            merged = (partners[a] | partners[b]) - {a, b}
+            if len(merged) > iucap:
                 continue
-            _merge_units(m, a, b, merged_mask)
+            _merge_units(m, a, b, merged)
     return m
 
 
-def _merge_units(m: PartialModel, a: int, b: int, merged_mask: int) -> None:
+def _merge_units(m: PartialModel, a: int, b: int, merged: set[int]) -> None:
     for e in m._members[b]:
         m._elem_unit[e] = a
         m._members[a].append(e)
@@ -465,23 +470,14 @@ def _merge_units(m: PartialModel, a: int, b: int, merged_mask: int) -> None:
     m._members[b] = []
     m._ind_count[b] = 0
     m._sens_count[b] = 0
-    # rewire: every partner of b now partners a instead (deduplicated);
-    # a's own partners other than b are already in merged_mask and keep
-    # their edge to a untouched
-    mask_b = m._pmask[b]
-    w = 0
-    while mask_b:
-        if mask_b & 1:
-            m._pmask[w] &= ~(1 << b)
-            if w != a and not (m._pmask[w] >> a) & 1:
-                m._pmask[w] |= 1 << a
-            m._pcount[w] = m._pmask[w].bit_count()
-        mask_b >>= 1
-        w += 1
-    m._pmask[a] = merged_mask
-    m._pcount[a] = merged_mask.bit_count()
-    m._pmask[b] = 0
-    m._pcount[b] = 0
+    # rewire: every partner of b other than a now partners a instead; a's
+    # own partners other than b are already in merged and keep their edge
+    for w in m._partners[b]:
+        if w != a:
+            m._partners[w].discard(b)
+            m._partners[w].add(a)
+    m._partners[a] = merged
+    m._partners[b] = set()
     m._dead[b] = True
 
 
@@ -504,7 +500,10 @@ def _finish_sat(inst: Instance, cfg: SolveConfig, m: PartialModel, stats: Search
     stats.units_after_minimize = sum(
         1 for u in range(m._n_units) if not m._dead[u] and m._members[u]
     )
-    return SolveOutcome(Outcome.SATISFIABLE, m.to_solution_graph(), stats)
+    t0 = time.monotonic()
+    graph = m.to_solution_graph()
+    stats.freeze_ms = (time.monotonic() - t0) * 1000.0
+    return SolveOutcome(Outcome.SATISFIABLE, graph, stats)
 
 
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
@@ -540,7 +539,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
         result = _solve_parallel(inst, cfg, max_units, stats)
     else:
         result = _solve_sequential(inst, cfg, max_units, stats)
-    stats.search_ms = (time.monotonic() - t_start) * 1000.0 - stats.minimize_ms
+    stats.search_ms = (time.monotonic() - t_start) * 1000.0 - stats.minimize_ms - stats.freeze_ms
     return result
 
 

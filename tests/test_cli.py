@@ -17,7 +17,6 @@ from pupsolver.cli import (
     EXIT_SAT,
     EXIT_TIMEOUT,
     EXIT_UNSAT,
-    convert_external_instance,
     main,
 )
 from pupsolver.reductions import binpack_to_pup_iucap2
@@ -337,6 +336,7 @@ def test_bench_green_run(tmp_path, capsys):
     assert len(rows) == 3
     assert rows[0]["outcome"] == "satisfiable"
     assert rows[0]["units"] == 3 and rows[0]["delta_units"] == 0
+    assert rows[0]["freeze_ms"] >= 0.0
     assert rows[1]["outcome"] == "unsatisfiable"
     assert rows[2]["units"] == 1  # manifest ucap/iucap override the file
 
@@ -378,8 +378,3 @@ def test_shipped_star_instance(capsys):
     rc = main(["solve", "--instance", str(REPO_INSTANCES / "star-unsat.pup")])
     assert rc == EXIT_UNSAT
     capsys.readouterr()
-
-
-def test_external_conversion_is_explicitly_unimplemented():
-    with pytest.raises(NotImplementedError):
-        convert_external_instance("archive.xml")

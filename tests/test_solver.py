@@ -1,7 +1,9 @@
 """Search components: element ordering, partial models, assign, minimize, solve."""
 
+import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from pupsolver import (
     emit_solution,
     minimize,
     oracle_decide,
+    parse_instance,
     solve,
     verify_solution,
 )
@@ -28,6 +31,15 @@ from datagen import rail_instance, random_instance
 
 
 FAR_FUTURE = time.monotonic() + 3600.0
+RAIL_PUP = Path(__file__).resolve().parent.parent / "instances" / "rail.pup"
+
+
+def ladder_instance(w: int, ucap: int, iucap: int, n: int) -> Instance:
+    """Rail band layout: indicator k reads sensors k..k+w-1."""
+    ind = tuple(f"I{k}" for k in range(n))
+    sen = tuple(f"S{k}" for k in range(n + w - 1))
+    edges = tuple((ind[k], sen[k + j]) for k in range(n) for j in range(w))
+    return Instance(ind, sen, edges, ucap, iucap)
 
 
 # ===== breadth-first element order =====
@@ -342,6 +354,73 @@ def test_minimize_never_increases_units_random():
         assert verify_solution(inst, res_min.solution) == []
 
 
+def test_minimize_merges_partnered_pair_and_keeps_third_partner():
+    # u1 {i1}, u2 {s1}, u3 {i2, i3} full; s1 partners both u1 and u3
+    inst = Instance(("i1", "i2", "i3"), ("s1",), (("i1", "s1"), ("i2", "s1")), 2, 2)
+    m = PartialModel(inst)
+    u1, u2, u3 = m.new_unit(), m.new_unit(), m.new_unit()
+    for e, u in (("i1", u1), ("s1", u2), ("i2", u3), ("i3", u3)):
+        assert m.assign_and_connect(e, u)
+    assert m.partners_of(u2) == (u1, u3)
+    minimize(m)
+    m.check_counters()
+    assert m.units == (u1, u3)
+    assert m.partners_of(u1) == (u3,) and m.partners_of(u3) == (u1,)
+    assert verify_solution(inst, m.to_solution_graph()) == []
+
+
+def test_minimize_merges_pair_sharing_a_partner():
+    # u1 {i1} and u2 {i2} both partner the full unit u3 {i3, i4, s1, s2}
+    inst = Instance(("i1", "i2", "i3", "i4"), ("s1", "s2"),
+                    (("i1", "s1"), ("i2", "s1")), 2, 2)
+    m = PartialModel(inst)
+    u1, u2, u3 = m.new_unit(), m.new_unit(), m.new_unit()
+    for e, u in (("i1", u1), ("i2", u2), ("i3", u3), ("i4", u3), ("s1", u3), ("s2", u3)):
+        assert m.assign_and_connect(e, u)
+    assert m.partners_of(u3) == (u1, u2)
+    minimize(m)
+    m.check_counters()
+    assert m.units == (u1, u3)
+    assert m.partners_of(u3) == (u1,)
+    assert verify_solution(inst, m.to_solution_graph()) == []
+
+
+def test_check_counters_holds_after_assign_and_minimize():
+    rng = random.Random(4242)
+    instances = [ladder_instance(2, 2, 2, 60)]
+    instances += [random_instance(rng, min_ind=1) for _ in range(300)]
+    checked = 0
+    for inst in instances:
+        m = PartialModel(inst)
+        order = breadth_first_order(inst.indicators[0], inst)
+        if assign(order, 0, m, FAR_FUTURE, m.max_units) is not Ternary.TRUE:
+            continue
+        m.check_counters()
+        minimize(m)
+        m.check_counters()
+        assert verify_solution(inst, m.to_solution_graph()) == []
+        checked += 1
+    assert checked > 100
+
+
+def test_check_counters_rejects_broken_partner_sets():
+    inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 1, 1)
+    corruptions = {
+        "asymmetric": lambda m: m._partners[1].discard(0),
+        "its own partner": lambda m: m._partners[0].add(0),
+        "more than iucap": lambda m: (m._partners[0].add(2), m._partners[2].add(0)),
+        "merged-away": lambda m: m._dead.__setitem__(1, True),
+    }
+    for message, corrupt in corruptions.items():
+        m = PartialModel(inst, max_units=3)
+        u1, u2, _ = m.new_unit(), m.new_unit(), m.new_unit()
+        assert m.assign_and_connect("i1", u1) and m.assign_and_connect("s1", u2)
+        m.check_counters()
+        corrupt(m)
+        with pytest.raises(RuntimeError, match=message):
+            m.check_counters()
+
+
 # ===== solve =====
 
 
@@ -405,7 +484,7 @@ def test_solve_stats_slices_within_budget():
     # one slice of slack plus scheduling noise
     assert total <= budget_ms + slice_ms + 100
     text = stats.as_text()
-    assert "entry_points_tried" in text and "backtracks" in text
+    assert "entry_points_tried" in text and "backtracks" in text and "freeze_ms" in text
 
 
 def test_solve_matches_oracle_small():
@@ -447,3 +526,48 @@ def test_solve_parallel_rail():
     res = solve(rail_instance(), SolveConfig(parallel=True))
     assert res.outcome is Outcome.SATISFIABLE
     assert count_units(res.solution) == 3
+
+
+# ===== pinned output bytes =====
+
+
+def _emitted_sha256(inst: Instance) -> str:
+    res = solve(inst)
+    assert res.outcome is Outcome.SATISFIABLE
+    return hashlib.sha256(emit_solution(res.solution).encode()).hexdigest()
+
+
+def test_pinned_solution_bytes_rail_file():
+    inst = parse_instance(RAIL_PUP.read_text())
+    assert _emitted_sha256(inst) == (
+        "86e39c8c928a0edf9ffd747dae4aa588a21fc5e252b6bbbf1ecfe2eb317427f8"
+    )
+
+
+@pytest.mark.parametrize("row, digest", [
+    ((2, 2, 2, 300), "199a4a9cf606c17cbec699ed58cc254e772b36f37963eb4817f787a115369996"),
+    ((3, 2, 3, 200), "d69b8896e1a520fe4aafcef07f074da94d58c4fad22173efdc2b62c06fcdb17d"),
+    ((2, 3, 2, 250), "3ed06bd491d26918d5c09ced1320ac3cff38325ab57544dbeac12c1d6c67b977"),
+])
+def test_pinned_solution_bytes_ladders(row, digest):
+    """Minimize merges partnered units on these ladders, so the digest pins
+    the greedy merge order and the freeze renumbering."""
+    assert _emitted_sha256(ladder_instance(*row)) == digest
+
+
+def test_pinned_solution_bytes_seed_1729_sweep():
+    """One digest over every satisfiable answer of the seed-1729 sweep, each
+    prefixed by its position in the sweep."""
+    rng = random.Random(1729)
+    h = hashlib.sha256()
+    n_sat = 0
+    for k in range(2000):
+        res = solve(random_instance(rng), SolveConfig(max_time_ms=10_000))
+        if res.outcome is Outcome.SATISFIABLE:
+            n_sat += 1
+            h.update(f"{k}\n".encode())
+            h.update(emit_solution(res.solution).encode())
+    assert n_sat == 1809
+    assert h.hexdigest() == (
+        "317451482b3d01c28763795e1b2668b7841831e66ca9dafe7697d4fada486fba"
+    )
