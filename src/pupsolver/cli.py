@@ -212,6 +212,8 @@ def cmd_bench(args) -> int:
             "search_ms": None,
             "minimize_ms": None,
             "freeze_ms": None,
+            "nodes": None,
+            "backtracks": None,
             "note": "ok",
         }
         try:
@@ -227,6 +229,8 @@ def cmd_bench(args) -> int:
         rec["search_ms"] = round(result.stats.search_ms, 3)
         rec["minimize_ms"] = round(result.stats.minimize_ms, 3)
         rec["freeze_ms"] = round(result.stats.freeze_ms, 3)
+        rec["nodes"] = result.stats.nodes
+        rec["backtracks"] = result.stats.backtracks
         if result.outcome is Outcome.SATISFIABLE:
             rec["units"] = count_units(result.solution)
             if expected not in (None, "UNSAT"):
@@ -241,9 +245,10 @@ def cmd_bench(args) -> int:
                 any_bad = True
         records.append(rec)
 
-    widths = (40, 14, 6, 9, 7, 10, 12, 10)
+    widths = (40, 14, 6, 9, 7, 10, 12, 10, 9, 10)
     header = (
-        "instance", "outcome", "units", "expected", "+units", "search_ms", "minimize_ms", "freeze_ms"
+        "instance", "outcome", "units", "expected", "+units", "search_ms", "minimize_ms", "freeze_ms",
+        "nodes", "backtracks",
     )
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "  note")
     for rec in records:
@@ -256,6 +261,8 @@ def cmd_bench(args) -> int:
             str(rec["search_ms"] if rec["search_ms"] is not None else "-"),
             str(rec["minimize_ms"] if rec["minimize_ms"] is not None else "-"),
             str(rec["freeze_ms"] if rec["freeze_ms"] is not None else "-"),
+            str(rec["nodes"] if rec["nodes"] is not None else "-"),
+            str(rec["backtracks"] if rec["backtracks"] is not None else "-"),
         )
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + f"  {rec['note']}")
     if args.records:

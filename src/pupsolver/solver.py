@@ -10,6 +10,15 @@ new connections.  A fully exhausted restart proves unsatisfiability for the
 given unit budget, so the default budget |indicators| + |sensors| makes an
 Unsatisfiable answer hold globally.
 
+A second proof ends a restart early.  When position i of the visit order
+runs out of placements, no input edge joins the elements before i to those
+from i on, and at least len(order) - i units are still unused, the instance
+is unsatisfiable: any solution, restricted to that suffix, would fit on
+fresh units beside the placed prefix, and the complete search has just
+tried every such placement.  The search then stops instead of backtracking
+into the prefix.  This cut can only fire on unsatisfiable instances, so
+satisfiable searches visit the same nodes and emit the same bytes.
+
 Sequential mode is deterministic: all tie-breaking is by the stable element
 index, so repeated runs produce byte-identical solution files.  Parallel
 mode runs one search per entry point on a thread pool and the first
@@ -106,6 +115,7 @@ class SearchStats:
     units_after_minimize: int | None = None
     precheck: str | None = None
     budget_limited: bool = False
+    refuted_from: str | None = None
 
     def as_text(self) -> str:
         lines = [
@@ -118,6 +128,8 @@ class SearchStats:
         ]
         if self.precheck is not None:
             lines.append(f"precheck {self.precheck}")
+        if self.refuted_from is not None:
+            lines.append(f"refuted_from {self.refuted_from}")
         if self.units_before_minimize is not None:
             lines.append(f"units_before_minimize {self.units_before_minimize}")
         if self.units_after_minimize is not None:
@@ -250,6 +262,16 @@ class PartialModel:
             self._partners[u].discard(w)
             self._partners[w].discard(u)
 
+    def _undo_to(self, mark: int) -> None:
+        """Undo journal entries, newest first, until the journal has mark entries."""
+        journal = self._journal
+        while len(journal) > mark:
+            entry = journal[-1]
+            if entry[0] == "unit":
+                self._drop_unit_idx(entry[1])
+            else:
+                self._unplace_idx(entry[1], entry[2])
+
     # -- id-based public surface --
 
     def new_unit(self) -> str:
@@ -365,6 +387,27 @@ class PartialModel:
 
 # ===== recursive search =====
 
+# Internal result of _assign: the component cut proved the instance
+# unsatisfiable.  Every frame passes it up like TRUE; assign and both solve
+# paths turn it into FALSE / UNSATISFIABLE.
+_REFUTED = object()
+
+
+def _cut_positions(nbr: list[tuple[int, ...]], order: tuple[int, ...]) -> list[bool]:
+    """cuts[k] is True when 0 < k and no edge joins order[:k] to order[k:]."""
+    n = len(order)
+    pos = [n] * len(nbr)
+    for k, e in enumerate(order):
+        pos[e] = k
+    cuts = [False] * n
+    reach = 0  # furthest position of a neighbour of order[:k]
+    for k, e in enumerate(order):
+        cuts[k] = 0 < k and reach < k
+        for nb in nbr[e]:
+            if pos[nb] > reach:
+                reach = pos[nb]
+    return cuts
+
 
 def _assign(
     m: PartialModel,
@@ -375,6 +418,7 @@ def _assign(
     stats: SearchStats,
     cancel: threading.Event | None,
     trace: list | None,
+    cuts: list[bool],
 ) -> Ternary:
     stats.nodes += 1
     if i >= len(order):
@@ -389,7 +433,7 @@ def _assign(
         if trace is not None:
             trace.append((m.inst.elements[e], m._unit_ids[u], "fresh"))
         if m._place_idx(e, u):
-            r = _assign(m, order, i + 1, deadline, max_units, stats, cancel, trace)
+            r = _assign(m, order, i + 1, deadline, max_units, stats, cancel, trace, cuts)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
@@ -399,11 +443,19 @@ def _assign(
         if trace is not None:
             trace.append((m.inst.elements[e], m._unit_ids[u], "existing"))
         if m._place_idx(e, u):
-            r = _assign(m, order, i + 1, deadline, max_units, stats, cancel, trace)
+            r = _assign(m, order, i + 1, deadline, max_units, stats, cancel, trace, cuts)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
     stats.backtracks += 1
+    # component cut; ``cuts`` starts empty and is filled on first use, so a
+    # search that never gets here pays nothing for it
+    if max_units - m._n_units >= len(order) - i:
+        if not cuts:
+            cuts.extend(_cut_positions(m._nbr, order))
+        if cuts[i]:
+            stats.refuted_from = m.inst.elements[e]
+            return _REFUTED
     return Ternary.FALSE
 
 
@@ -424,10 +476,21 @@ def assign(
     means the deadline passed, leaving m journal-restorable but otherwise
     unspecified.  ``deadline`` is an absolute time.monotonic() timestamp,
     checked on every entry, so timeout granularity is one search node.
+
+    FALSE also comes from the component cut (see the module docstring):
+    a suffix that no edge joins to the placed prefix, with enough unused
+    units for all of it, has no placement.  The search then stops early,
+    m is unwound through its journal, and stats.refuted_from names the
+    element where that suffix starts.
     """
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
-    return _assign(m, seq, idx, deadline, max_units, stats, cancel, trace)
+    mark = len(m._journal)
+    r = _assign(m, seq, idx, deadline, max_units, stats, cancel, trace, [])
+    if r is _REFUTED:
+        m._undo_to(mark)
+        return Ternary.FALSE
+    return r
 
 
 # ===== unit minimization =====
@@ -511,9 +574,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
 
     Satisfiable comes with a verified-shape solution graph (minimized unless
     cfg.minimize is off).  Unsatisfiable from a search means one entry point
-    exhausted its whole tree at the given unit budget; with the default
-    budget that is a global proof.  Timeout means every entry point ran out
-    of its time slice.
+    either exhausted its whole tree at the given unit budget, or found a
+    suffix of its visit order that no edge joins to the prefix, that had
+    enough unused units for every element in it, and that had no placement
+    (stats.refuted_from names its first element).  With the default budget
+    either is a global proof.  Timeout means every entry point ran out of
+    its time slice.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     n = len(inst.elements)
@@ -555,11 +621,11 @@ def _solve_sequential(
         m = PartialModel(inst, max_units)
         t0 = time.monotonic()
         deadline = t0 + slice_ms / 1000.0
-        r = _assign(m, order, 0, deadline, max_units, stats, None, None)
+        r = _assign(m, order, 0, deadline, max_units, stats, None, None, [])
         stats.per_entry_ms.append((start or "", (time.monotonic() - t0) * 1000.0))
         if r is Ternary.TRUE:
             return _finish_sat(inst, cfg, m, stats)
-        if r is Ternary.FALSE:
+        if r is Ternary.FALSE or r is _REFUTED:
             return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
     return SolveOutcome(Outcome.TIMEOUT, None, stats)
 
@@ -578,12 +644,13 @@ def _solve_parallel(
         order = tuple(inst.index[e] for e in seq)
         m = PartialModel(inst, max_units)
         t0 = time.monotonic()
-        r = _assign(m, order, 0, deadline, max_units, local, cancel, None)
+        r = _assign(m, order, 0, deadline, max_units, local, cancel, None, [])
         if r is not Ternary.TIMEOUT:
             with lock:
                 if "result" not in winner:
                     winner["result"] = r
                     winner["model"] = m
+                    winner["refuted_from"] = local.refuted_from
             cancel.set()
         return start, (time.monotonic() - t0) * 1000.0, local
 
@@ -598,6 +665,7 @@ def _solve_parallel(
     r = winner.get("result")
     if r is Ternary.TRUE:
         return _finish_sat(inst, cfg, winner["model"], stats)
-    if r is Ternary.FALSE:
+    if r is Ternary.FALSE or r is _REFUTED:
+        stats.refuted_from = winner["refuted_from"]
         return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
     return SolveOutcome(Outcome.TIMEOUT, None, stats)

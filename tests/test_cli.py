@@ -331,13 +331,16 @@ def test_bench_green_run(tmp_path, capsys):
     assert rc == 0
     lines = captured.out.splitlines()
     assert lines[0].startswith("instance")
+    assert "nodes" in lines[0].split() and "backtracks" in lines[0].split()
     assert len(lines) == 4
     rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
     assert len(rows) == 3
     assert rows[0]["outcome"] == "satisfiable"
     assert rows[0]["units"] == 3 and rows[0]["delta_units"] == 0
     assert rows[0]["freeze_ms"] >= 0.0
+    assert rows[0]["nodes"] >= 10 and rows[0]["backtracks"] >= 0  # 9 elements and the leaf
     assert rows[1]["outcome"] == "unsatisfiable"
+    assert rows[1]["nodes"] == 0 and rows[1]["backtracks"] == 0  # degree precheck
     assert rows[2]["units"] == 1  # manifest ucap/iucap override the file
 
 

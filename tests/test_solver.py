@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pupsolver import (
     Instance,
@@ -27,7 +28,7 @@ from pupsolver import (
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
 
-from datagen import rail_instance, random_instance
+from datagen import all_small_bipartite, naive_decide, rail_instance, random_instance
 
 
 FAR_FUTURE = time.monotonic() + 3600.0
@@ -40,6 +41,24 @@ def ladder_instance(w: int, ucap: int, iucap: int, n: int) -> Instance:
     sen = tuple(f"S{k}" for k in range(n + w - 1))
     edges = tuple((ind[k], sen[k + j]) for k in range(n) for j in range(w))
     return Instance(ind, sen, edges, ucap, iucap)
+
+
+# indicator c_a reads sensors d_a and d_(a-1): a 6-cycle over c0..c2, d0..d2
+CYCLE_EDGES = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2))
+
+
+def pairs_core_instance(k: int) -> Instance:
+    """k isolated edges p_j-q_j, then a 6-cycle declared last, ucap 1, iucap 1.
+
+    At ucap 1 / iucap 1 a connected component spans at most two partnered
+    units (four elements), so the cycle has no placement; no degree exceeds
+    2, so the degree precheck leaves it to the search.
+    """
+    ind = tuple(f"p{j}" for j in range(k)) + ("c0", "c1", "c2")
+    sen = tuple(f"q{j}" for j in range(k)) + ("d0", "d1", "d2")
+    edges = tuple((f"p{j}", f"q{j}") for j in range(k))
+    edges += tuple((f"c{a}", f"d{b}") for a, b in CYCLE_EDGES)
+    return Instance(ind, sen, edges, 1, 1)
 
 
 # ===== breadth-first element order =====
@@ -520,12 +539,119 @@ def test_solve_parallel_agrees_with_sequential():
         assert seq.outcome == par.outcome
         if par.outcome is Outcome.SATISFIABLE:
             assert verify_solution(inst, par.solution) == []
+    # disconnected and unsatisfiable: the component cut ends the search
+    for k in (1, 3, 8, 16):
+        inst = pairs_core_instance(k)
+        seq = solve(inst, SolveConfig(max_time_ms=5000))
+        par = solve(inst, SolveConfig(max_time_ms=5000, parallel=True))
+        assert seq.outcome is par.outcome is Outcome.UNSATISFIABLE
 
 
 def test_solve_parallel_rail():
     res = solve(rail_instance(), SolveConfig(parallel=True))
     assert res.outcome is Outcome.SATISFIABLE
     assert count_units(res.solution) == 3
+
+
+# ===== component cut =====
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_component_cut_refutes_pairs_core(k):
+    """Without the cut the search backtracks through all placements of the
+    k pairs (96,892 nodes at k = 8; k = 16 runs out of time)."""
+    res = solve(pairs_core_instance(k), SolveConfig(max_time_ms=2000))
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert res.stats.nodes <= 100
+    assert res.stats.entry_points_tried == 1
+    assert res.stats.refuted_from == "c0"
+    assert "refuted_from c0" in res.stats.as_text()
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_assign_component_cut_returns_false_and_unwinds(k):
+    inst = pairs_core_instance(k)
+    m = PartialModel(inst)
+    stats = SearchStats()
+    r = assign(breadth_first_order("p0", inst), 0, m, FAR_FUTURE, len(inst.elements), stats)
+    assert r is Ternary.FALSE
+    assert stats.nodes <= 100 and stats.refuted_from == "c0"
+    assert m.snapshot() == PartialModel(inst).snapshot()
+    assert m._journal == []
+
+
+def test_component_cut_needs_room_for_the_suffix():
+    # with fewer unused units than suffix elements the cut may not fire:
+    # the search must exhaust the prefix, and the answer is still UNSAT
+    inst = pairs_core_instance(3)
+    res = solve(inst, SolveConfig(max_units=8))
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert res.stats.refuted_from is None
+    assert not oracle_decide(inst, 8)
+
+
+def _check_against_oracle(inst: Instance, max_units: int | None) -> None:
+    n = len(inst.elements)
+    budget = max_units if max_units is not None else max(n, 1)
+    res = solve(inst, SolveConfig(max_time_ms=10_000, max_units=max_units))
+    assert res.outcome is not Outcome.TIMEOUT
+    sat = oracle_decide(inst, budget)
+    assert (res.outcome is Outcome.SATISFIABLE) == sat
+    if budget ** n <= 256:
+        assert naive_decide(inst, budget) == sat
+    if res.outcome is Outcome.SATISFIABLE:
+        assert verify_solution(inst, res.solution) == []
+        assert count_units(res.solution) <= budget
+
+
+@st.composite
+def disjoint_unions(draw):
+    """1-4 components, at most 10 elements, sometimes the 6-cycle core."""
+    ind: list[str] = []
+    sen: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for c in range(draw(st.integers(1, 4))):
+        room = 10 - len(ind) - len(sen)
+        if room < 1:
+            break
+        if room >= 6 and draw(st.integers(0, 3)) == 0:
+            ci = [f"c{c}i{a}" for a in range(3)]
+            cs = [f"c{c}s{b}" for b in range(3)]
+            ind += ci
+            sen += cs
+            edges += [(ci[a], cs[b]) for a, b in CYCLE_EDGES]
+            continue
+        n_ind = draw(st.integers(0, min(3, room)))
+        n_sen = draw(st.integers(0 if n_ind else 1, min(3, room - n_ind)))
+        ci = [f"c{c}i{a}" for a in range(n_ind)]
+        cs = [f"c{c}s{b}" for b in range(n_sen)]
+        pairs = [(i, s) for i in ci for s in cs]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        ind += ci
+        sen += cs
+        edges += [p for p, k in zip(pairs, keep) if k]
+    inst = Instance(tuple(ind), tuple(sen), tuple(edges),
+                    draw(st.integers(1, 2)), draw(st.integers(0, 3)))
+    n = len(inst.elements)
+    max_units = draw(st.sampled_from([None, max(n // 2, 1), max(n - 1, 1)]))
+    return inst, max_units
+
+
+# solve() raises the process-wide recursion limit for its recursive search,
+# which hypothesis reports on every example
+@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(disjoint_unions())
+def test_component_cut_agrees_with_oracle_on_disjoint_unions(case):
+    _check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("iucap", [0, 1, 2, 3])
+def test_component_cut_agrees_with_oracle_exhaustive(iucap):
+    for inst in all_small_bipartite(6, iucap=iucap):
+        _check_against_oracle(inst, None)
+        _check_against_oracle(inst, max(len(inst.elements) // 2, 1))
 
 
 # ===== pinned output bytes =====
