@@ -30,6 +30,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -503,24 +504,78 @@ def minimize(m: PartialModel) -> PartialModel:
     into A when the combined indicator count, combined sensor count, and the
     union of partner sets minus the pair itself all stay within capacity.
     Never increases the unit count and preserves solution consistency.
+
+    The pairs are looked up, not scanned, with the same merges as a scan.
+    The model only changes at a merge, so for each A it is enough to find
+    the lowest-index live B after the one last merged into it (from the
+    first unit for a new A, so B may precede A).  Each merge of a non-empty
+    unit adds an element to A, so A needs at most about 2 * ucap lookups.
+    A unit B passes the partner test in one of two ways:
+
+    - B is within two partner hops of A (a partner of A, or sharing a
+      partner with it).  There are at most iucap**2 such units; each is
+      tested directly.
+    - |P[A]| + |P[B]| <= iucap.  This suffices for any B, and it is exact
+      for every other B, whose partner set is disjoint from A's and does
+      not hold A.  Live units are kept in buckets keyed by (indicator
+      count, sensor count, partner count), each a sorted index list
+      searched with bisect, so only buckets that fit beside A are read.
+      A merge re-keys A and the shared partners whose count dropped;
+      stale entries are dropped when a lookup meets them.
     """
     ucap, iucap = m.ucap, m.iucap
-    partners = m._partners
+    ind, sens, partners, dead = m._ind_count, m._sens_count, m._partners, m._dead
     n = m._n_units
+    # a bucket entry u is stale once key_of[u] differs from the bucket's key
+    key_of: list[tuple[int, int, int] | None] = [None] * n
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for u in range(n):  # in index order, so each bucket starts sorted
+        if not dead[u]:
+            key_of[u] = key = (ind[u], sens[u], len(partners[u]))
+            buckets.setdefault(key, []).append(u)
     for a in range(n):
-        if m._dead[a]:
+        if dead[a]:
             continue
-        for b in range(n):
-            if a == b or m._dead[a] or m._dead[b]:
-                continue
-            if m._ind_count[a] + m._ind_count[b] > ucap:
-                continue
-            if m._sens_count[a] + m._sens_count[b] > ucap:
-                continue
-            merged = (partners[a] | partners[b]) - {a, b}
-            if len(merged) > iucap:
-                continue
-            _merge_units(m, a, b, merged)
+        b = -1
+        while True:
+            # b becomes the lowest live unit after the last one merged into
+            # a that passes all three tests, or n when there is none
+            start, b = b, n
+            room_i, room_s = ucap - ind[a], ucap - sens[a]
+            pa = partners[a]
+            room_p = iucap - len(pa)
+            # any b whose key fits beside a passes: |P[a]| + |P[b]| <= iucap
+            for key, bucket in buckets.items():
+                if key[0] > room_i or key[1] > room_s or key[2] > room_p:
+                    continue
+                i = bisect_right(bucket, start)
+                while i < len(bucket):
+                    u = bucket[i]
+                    if key_of[u] != key:
+                        del bucket[i]
+                    elif u == a:
+                        i += 1
+                    else:
+                        if u < b:
+                            b = u
+                        break
+            # units within two partner hops of a, tested directly
+            for w in pa:
+                for c in (w, *partners[w]):
+                    if (start < c < b and c != a and ind[c] <= room_i and sens[c] <= room_s
+                            and len((pa | partners[c]) - {a, c}) <= iucap):
+                        b = c
+            if b == n:
+                break
+            shared = pa & partners[b]
+            _merge_units(m, a, b, (pa | partners[b]) - {a, b})
+            key_of[b] = None
+            for u in (a, *shared):
+                key_of[u] = key = (ind[u], sens[u], len(partners[u]))
+                bucket = buckets.setdefault(key, [])
+                i = bisect_left(bucket, u)
+                if i == len(bucket) or bucket[i] != u:
+                    bucket.insert(i, u)
     return m
 
 

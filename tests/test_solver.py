@@ -1,5 +1,6 @@
 """Search components: element ordering, partial models, assign, minimize, solve."""
 
+import copy
 import hashlib
 import random
 import time
@@ -25,8 +26,10 @@ from pupsolver import (
     solve,
     verify_solution,
 )
+from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
+from pupsolver.solver import _merge_units
 
 from datagen import all_small_bipartite, naive_decide, rail_instance, random_instance
 
@@ -440,6 +443,136 @@ def test_check_counters_rejects_broken_partner_sets():
             m.check_counters()
 
 
+def _reference_minimize(m: PartialModel) -> PartialModel:
+    """The all-pairs scan that minimize replaced, kept as its oracle."""
+    ucap, iucap = m.ucap, m.iucap
+    partners = m._partners
+    n = m._n_units
+    for a in range(n):
+        if m._dead[a]:
+            continue
+        for b in range(n):
+            if a == b or m._dead[a] or m._dead[b]:
+                continue
+            if m._ind_count[a] + m._ind_count[b] > ucap:
+                continue
+            if m._sens_count[a] + m._sens_count[b] > ucap:
+                continue
+            merged = (partners[a] | partners[b]) - {a, b}
+            if len(merged) > iucap:
+                continue
+            _merge_units(m, a, b, merged)
+    return m
+
+
+def _minimize_matches_reference(m: PartialModel) -> bool:
+    """Minimize m in place and check it against _reference_minimize on a copy.
+
+    Returns True when some element ends on a later unit than it started on,
+    which only a merge of a B created before its A can do.
+    """
+    before = list(m._elem_unit)
+    ref = copy.deepcopy(m)
+    _reference_minimize(ref)
+    minimize(m)
+    assert m.snapshot() == ref.snapshot()
+    m.check_counters()
+    return any(u > v >= 0 for u, v in zip(m._elem_unit, before))
+
+
+def test_minimize_merges_a_unit_created_before_a():
+    # u1 {i0} - u4 {s0} and u2 {s1} - u3 {i1}; at iucap 1, u1 takes u4
+    # first, which frees u1 of partners so that u2 can then take u1
+    inst = Instance(("i0", "i1"), ("s0", "s1"), (("i0", "s0"), ("i1", "s1")), 2, 1)
+    m = PartialModel(inst)
+    u1, u2, u3, u4 = (m.new_unit() for _ in range(4))
+    for e, u in (("i0", u1), ("s1", u2), ("i1", u3), ("s0", u4)):
+        assert m.assign_and_connect(e, u)
+    assert _minimize_matches_reference(m)
+    assert m.units == (u2,)
+
+
+# (sensors per indicator, ucap, iucap) of the benchmark's five ladder rows
+LADDER_SHAPES = ((2, 2, 2), (2, 1, 3), (3, 2, 3), (3, 3, 3), (2, 3, 2))
+
+
+@pytest.mark.parametrize("shape", LADDER_SHAPES, ids=str)
+def test_minimize_matches_reference_on_ladders(shape):
+    inst = ladder_instance(*shape, 150)
+    m = PartialModel(inst)
+    order = breadth_first_order(inst.indicators[0], inst)
+    assert assign(order, 0, m, FAR_FUTURE, m.max_units) is Ternary.TRUE
+    _minimize_matches_reference(m)
+    assert m.unit_count < len(inst.elements)
+
+
+def test_minimize_matches_reference_on_seed_1729_sweep(monkeypatch):
+    """Every model that solve() minimizes in the seed-1729 sweep: its 1809
+    satisfiable answers less the 88 empty instances, which build no model."""
+    counts = {"models": 0, "b_before_a": 0}
+
+    def checked(m):
+        counts["models"] += 1
+        counts["b_before_a"] += _minimize_matches_reference(m)
+        return m
+
+    monkeypatch.setattr(solver_module, "minimize", checked)
+    rng = random.Random(1729)
+    for _ in range(2000):
+        solve(random_instance(rng), SolveConfig(max_time_ms=10_000))
+    assert counts["models"] == 1721
+    assert counts["b_before_a"] >= 1
+
+
+@st.composite
+def hand_built_models(draw):
+    """Each element, in a drawn order, goes on a fresh unit (four times in
+    five) or a drawn existing one, and is left unplaced when refused; empty
+    units are created along the way.  Mostly fresh units give many small
+    partnered units, where merges that only the partner test tells apart
+    and merges of a B created before its A both occur."""
+    ind = tuple(f"i{k}" for k in range(draw(st.integers(1, 6))))
+    sen = tuple(f"s{k}" for k in range(draw(st.integers(0, 6))))
+    pairs = [(i, s) for i in ind for s in sen]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    inst = Instance(ind, sen, tuple(p for p, k in zip(pairs, keep) if k),
+                    draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    m = PartialModel(inst, max_units=2 * len(inst.elements))
+    units: list[str] = []
+    for e in draw(st.permutations(inst.elements)):
+        if draw(st.integers(0, 4)) == 0:
+            units.append(m.new_unit())
+        if not units or draw(st.integers(0, 4)) > 0:
+            units.append(m.new_unit())
+            u = units[-1]
+        else:
+            u = draw(st.sampled_from(units))
+        m.assign_and_connect(e, u)
+    return m
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(hand_built_models())
+def test_minimize_matches_reference_on_hand_built_models(m):
+    _minimize_matches_reference(m)
+
+
+def test_minimize_scales_on_20001_element_ladder():
+    """The model the search builds on this ladder with zero backtracks, one
+    fresh unit per element, built without the recursive search.  The unit
+    count is the all-pairs scan's, which took about 10 s on this model."""
+    inst = ladder_instance(2, 2, 2, 10_000)
+    m = PartialModel(inst)
+    for e in breadth_first_order(inst.indicators[0], inst).sequence:
+        assert m.assign_and_connect(e, m.new_unit())
+    t0 = time.perf_counter()
+    minimize(m)
+    elapsed = time.perf_counter() - t0
+    m.check_counters()
+    assert m.unit_count == 5001
+    assert elapsed < 3.0
+
+
 # ===== solve =====
 
 
@@ -674,6 +807,8 @@ def test_pinned_solution_bytes_rail_file():
     ((2, 2, 2, 300), "199a4a9cf606c17cbec699ed58cc254e772b36f37963eb4817f787a115369996"),
     ((3, 2, 3, 200), "d69b8896e1a520fe4aafcef07f074da94d58c4fad22173efdc2b62c06fcdb17d"),
     ((2, 3, 2, 250), "3ed06bd491d26918d5c09ced1320ac3cff38325ab57544dbeac12c1d6c67b977"),
+    ((2, 1, 3, 300), "5d52d3f0994c9b98ad2a2c0ccf7c6f40796f9a3b8f0a61bfdcc92b65cffefd75"),
+    ((3, 3, 3, 300), "74aa5dadfd9fe333a29a879750f6b737f18b4bfb955746a719e12c3d41435acf"),
 ])
 def test_pinned_solution_bytes_ladders(row, digest):
     """Minimize merges partnered units on these ladders, so the digest pins
