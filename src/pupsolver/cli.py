@@ -61,7 +61,6 @@ def cmd_solve(args) -> int:
             max_time_ms=args.max_time_ms,
             max_units=args.max_units,
             minimize=not args.no_minimize,
-            parallel=args.parallel,
         )
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
@@ -195,7 +194,7 @@ def cmd_bench(args) -> int:
     manifest = Path(args.manifest)
     try:
         rows = _parse_manifest(manifest)
-        cfg = SolveConfig(max_time_ms=args.max_time_ms, parallel=args.parallel)
+        cfg = SolveConfig(max_time_ms=args.max_time_ms)
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
     records = []
@@ -278,11 +277,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--max-time-ms", type=int, default=600_000)
+    p.add_argument("--max-time-ms", type=int, default=600_000,
+                   help="outer wall-clock stop; the answer is timeout after it")
     p.add_argument("--max-units", type=int, default=None,
                    help="unit budget (default: element count)")
     p.add_argument("--no-minimize", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--output", "-o", help="write the solution here instead of stdout")
     p.add_argument("--emit-graph", help="write a DOT description of the solution")
@@ -322,9 +321,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run a manifest of instances and report a table")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--max-time-ms", type=int, default=600_000)
-    p.add_argument("--parallel", action="store_true",
-                   help="portfolio mode inside each solve; rows stay sequential")
+    p.add_argument("--max-time-ms", type=int, default=600_000,
+                   help="outer wall-clock stop; the answer is timeout after it")
     p.add_argument("--records", help="also write JSON lines here")
     p.set_defaults(func=cmd_bench)
 

@@ -259,15 +259,15 @@ class SolveConfig:
 
     ``max_units`` of None means the safe default |indicators| + |sensors|,
     which makes an Unsatisfiable answer hold for any number of units.
-    Sequential mode is deterministic: all tie-breaking is by stable index,
-    there is no randomness to seed.  Parallel mode trades that
-    reproducibility for an entry-point portfolio.
+    ``max_time_ms`` is the only wall-clock input: an outer stop after which
+    the answer is Timeout.  Restarts are scheduled by node budgets, and all
+    tie-breaking is by stable index, so an answer found before that stop is
+    the same bytes on any machine; there is no randomness to seed.
     """
 
     max_time_ms: int = 600_000
     max_units: int | None = None
     minimize: bool = True
-    parallel: bool = False
 
     def __post_init__(self):
         if self.max_time_ms < 1:

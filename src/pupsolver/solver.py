@@ -1,14 +1,18 @@
 """Heuristic backtracking solver for the Partner Units Problem.
 
-The search restarts once per indicator: each restart orders the elements
-breadth-first from its start indicator and runs a recursive backtracking
-assignment under a time slice of max_time_ms / number_of_indicators.  At
-every element the search tries one fresh unit first (if the unit budget
-allows) and then every existing unit in creation order; partner connections
-are never searched over because placing an element forces a unique set of
-new connections.  A fully exhausted restart proves unsatisfiability for the
-given unit budget, so the default budget |indicators| + |sensors| makes an
-Unsatisfiable answer hold globally.
+The search restarts from each indicator in turn (from the sensors alone
+when there are none): each restart orders the elements breadth-first from
+its start and runs a recursive backtracking assignment from an empty model.  Restarts are scheduled in
+rounds: in round r every entry point, in indicator order, gets a budget of
+2 * (n + 1) * 2**r search nodes, n being the element count, so a restart
+that never backtracks (n + 1 nodes) finishes in round 0.  The first entry
+point to find an assignment answers.  At every element the search tries
+one fresh unit first (if the unit budget allows) and then every existing
+unit in creation order; partner connections are never searched over
+because placing an element forces a unique set of new connections.  A
+fully exhausted restart proves unsatisfiability for the given unit budget,
+so the default budget |indicators| + |sensors| makes an Unsatisfiable
+answer hold globally.
 
 A second proof ends a restart early.  When position i of the visit order
 runs out of placements, no input edge joins the elements before i to those
@@ -19,19 +23,18 @@ tried every such placement.  The search then stops instead of backtracking
 into the prefix.  This cut can only fire on unsatisfiable instances, so
 satisfiable searches visit the same nodes and emit the same bytes.
 
-Sequential mode is deterministic: all tie-breaking is by the stable element
-index, so repeated runs produce byte-identical solution files.  Parallel
-mode runs one search per entry point on a thread pool and the first
-definitive answer wins; the others are cancelled through a shared event.
+The search is deterministic: all tie-breaking is by the stable element
+index and every budget is counted in nodes, so repeated runs produce
+byte-identical solution files on any machine at any load.  The wall clock
+is only an outer stop: one deadline, max_time_ms after the solve starts,
+checked at every node, after which the answer is Timeout.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -106,6 +109,7 @@ class SearchStats:
     """Counters and timings for one solve() call."""
 
     entry_points_tried: int = 0
+    rounds: int = 0
     nodes: int = 0
     backtracks: int = 0
     per_entry_ms: list[tuple[str, float]] = field(default_factory=list)
@@ -121,6 +125,7 @@ class SearchStats:
     def as_text(self) -> str:
         lines = [
             f"entry_points_tried {self.entry_points_tried}",
+            f"rounds {self.rounds}",
             f"nodes {self.nodes}",
             f"backtracks {self.backtracks}",
             f"search_ms {self.search_ms:.3f}",
@@ -415,16 +420,16 @@ def _assign(
     order: tuple[int, ...],
     i: int,
     deadline: float,
+    node_limit: int,
     max_units: int,
     stats: SearchStats,
-    cancel: threading.Event | None,
     trace: list | None,
     cuts: list[bool],
 ) -> Ternary:
     stats.nodes += 1
     if i >= len(order):
         return Ternary.TRUE
-    if time.monotonic() > deadline or (cancel is not None and cancel.is_set()):
+    if stats.nodes > node_limit or time.monotonic() > deadline:
         return Ternary.TIMEOUT
     e = order[i]
     # one fresh unit first: fresh units are interchangeable, so a single
@@ -434,7 +439,7 @@ def _assign(
         if trace is not None:
             trace.append((m.inst.elements[e], m._unit_ids[u], "fresh"))
         if m._place_idx(e, u):
-            r = _assign(m, order, i + 1, deadline, max_units, stats, cancel, trace, cuts)
+            r = _assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
@@ -444,7 +449,7 @@ def _assign(
         if trace is not None:
             trace.append((m.inst.elements[e], m._unit_ids[u], "existing"))
         if m._place_idx(e, u):
-            r = _assign(m, order, i + 1, deadline, max_units, stats, cancel, trace, cuts)
+            r = _assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
@@ -467,7 +472,6 @@ def assign(
     deadline: float,
     max_units: int,
     stats: SearchStats | None = None,
-    cancel: threading.Event | None = None,
     trace: list | None = None,
 ) -> Ternary:
     """Recursive search step: place order.sequence[idx:] onto units of m.
@@ -487,7 +491,7 @@ def assign(
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
     mark = len(m._journal)
-    r = _assign(m, seq, idx, deadline, max_units, stats, cancel, trace, [])
+    r = _assign(m, seq, idx, deadline, sys.maxsize, max_units, stats, trace, [])
     if r is _REFUTED:
         m._undo_to(mark)
         return Ternary.FALSE
@@ -633,8 +637,8 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
     suffix of its visit order that no edge joins to the prefix, that had
     enough unused units for every element in it, and that had no placement
     (stats.refuted_from names its first element).  With the default budget
-    either is a global proof.  Timeout means every entry point ran out of
-    its time slice.
+    either is a global proof.  Timeout means the deadline, cfg.max_time_ms
+    after the call, passed before any entry point decided.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     n = len(inst.elements)
@@ -656,71 +660,36 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
     if sys.getrecursionlimit() < limit:
         sys.setrecursionlimit(limit)
 
-    if cfg.parallel and len(inst.indicators) > 1:
-        result = _solve_parallel(inst, cfg, max_units, stats)
-    else:
-        result = _solve_sequential(inst, cfg, max_units, stats)
+    result = _solve_rounds(inst, cfg, max_units, stats, t_start + cfg.max_time_ms / 1000.0)
     stats.search_ms = (time.monotonic() - t_start) * 1000.0 - stats.minimize_ms - stats.freeze_ms
     return result
 
 
-def _solve_sequential(
-    inst: Instance, cfg: SolveConfig, max_units: int, stats: SearchStats
+def _solve_rounds(
+    inst: Instance, cfg: SolveConfig, max_units: int, stats: SearchStats, deadline: float
 ) -> SolveOutcome:
     entries: tuple[str | None, ...] = inst.indicators if inst.indicators else (None,)
-    slice_ms = max(1, cfg.max_time_ms // len(entries))
-    for start in entries:
-        stats.entry_points_tried += 1
-        seq = _component_order(inst, start)
-        order = tuple(inst.index[e] for e in seq)
-        m = PartialModel(inst, max_units)
-        t0 = time.monotonic()
-        deadline = t0 + slice_ms / 1000.0
-        r = _assign(m, order, 0, deadline, max_units, stats, None, None, [])
-        stats.per_entry_ms.append((start or "", (time.monotonic() - t0) * 1000.0))
-        if r is Ternary.TRUE:
-            return _finish_sat(inst, cfg, m, stats)
-        if r is Ternary.FALSE or r is _REFUTED:
-            return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-    return SolveOutcome(Outcome.TIMEOUT, None, stats)
-
-
-def _solve_parallel(
-    inst: Instance, cfg: SolveConfig, max_units: int, stats: SearchStats
-) -> SolveOutcome:
-    cancel = threading.Event()
-    lock = threading.Lock()
-    winner: dict = {}
-    deadline = time.monotonic() + cfg.max_time_ms / 1000.0
-
-    def run(start: str) -> tuple[str, float, SearchStats]:
-        local = SearchStats()
-        seq = _component_order(inst, start)
-        order = tuple(inst.index[e] for e in seq)
-        m = PartialModel(inst, max_units)
-        t0 = time.monotonic()
-        r = _assign(m, order, 0, deadline, max_units, local, cancel, None, [])
-        if r is not Ternary.TIMEOUT:
-            with lock:
-                if "result" not in winner:
-                    winner["result"] = r
-                    winner["model"] = m
-                    winner["refuted_from"] = local.refuted_from
-            cancel.set()
-        return start, (time.monotonic() - t0) * 1000.0, local
-
-    workers = min(len(inst.indicators), 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start, ms, local in pool.map(run, inst.indicators):
-            stats.entry_points_tried += 1
-            stats.nodes += local.nodes
-            stats.backtracks += local.backtracks
-            stats.per_entry_ms.append((start, ms))
-
-    r = winner.get("result")
-    if r is Ternary.TRUE:
-        return _finish_sat(inst, cfg, winner["model"], stats)
-    if r is Ternary.FALSE or r is _REFUTED:
-        stats.refuted_from = winner["refuted_from"]
-        return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-    return SolveOutcome(Outcome.TIMEOUT, None, stats)
+    m = PartialModel(inst, max_units)
+    budget = 2 * (len(inst.elements) + 1)
+    while True:
+        stats.rounds += 1
+        for k, start in enumerate(entries):
+            if k == stats.entry_points_tried:
+                stats.entry_points_tried += 1
+                stats.per_entry_ms.append((start or "", 0.0))
+            # rebuilt each round rather than kept: one order per indicator
+            # would hold n * |indicators| ints at once
+            t0 = time.monotonic()
+            order = tuple(inst.index[e] for e in _component_order(inst, start))
+            r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats, None, [])
+            now = time.monotonic()
+            name, ms = stats.per_entry_ms[k]
+            stats.per_entry_ms[k] = (name, ms + (now - t0) * 1000.0)
+            if r is Ternary.TRUE:
+                return _finish_sat(inst, cfg, m, stats)
+            if r is Ternary.FALSE or r is _REFUTED:
+                return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
+            if now > deadline:
+                return SolveOutcome(Outcome.TIMEOUT, None, stats)
+            m._undo_to(0)  # out of nodes: the next entry starts from empty
+        budget *= 2

@@ -112,12 +112,6 @@ def test_solve_timeout(tmp_path, capsys):
     assert "timeout" in captured.err
 
 
-def test_solve_parallel_flag(rail_file, capsys):
-    rc = main(["solve", "--instance", str(rail_file), "--parallel"])
-    assert rc == EXIT_SAT
-    assert "satisfiable" in capsys.readouterr().err
-
-
 def test_solve_parse_error(tmp_path, capsys):
     p = tmp_path / "broken.pup"
     p.write_text("nonsense line\n", encoding="utf-8")

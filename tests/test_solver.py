@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import random
 import time
 from pathlib import Path
@@ -663,33 +664,58 @@ def test_solve_deterministic_output():
         assert len(texts) == 1
 
 
-def test_solve_parallel_agrees_with_sequential():
-    rng = random.Random(808)
-    for _ in range(100):
-        inst = random_instance(rng, min_ind=2)
-        seq = solve(inst, SolveConfig(max_time_ms=5000))
-        par = solve(inst, SolveConfig(max_time_ms=5000, parallel=True))
-        assert seq.outcome == par.outcome
-        if par.outcome is Outcome.SATISFIABLE:
-            assert verify_solution(inst, par.solution) == []
-    # disconnected and unsatisfiable: the component cut ends the search
-    for k in (1, 3, 8, 16):
-        inst = pairs_core_instance(k)
-        seq = solve(inst, SolveConfig(max_time_ms=5000))
-        par = solve(inst, SolveConfig(max_time_ms=5000, parallel=True))
-        assert seq.outcome is par.outcome is Outcome.UNSATISFIABLE
+def test_solve_bytes_do_not_depend_on_clock_speed(monkeypatch):
+    """Restarts are budgeted in nodes, so a clock that charges 1 ms per
+    node only matters at the outer deadline.  Under wall-clock slices this
+    packing was answered by entry 3 in real time and by entry 4 under the
+    slow clock, with different bytes."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((1, 1, 2), 2, 2))
+    cfg = SolveConfig(max_time_ms=10_000, max_units=budget)
+    normal = solve(inst, cfg)
+    ticks = itertools.count(1)  # every clock read advances the clock by 1 ms
+    monkeypatch.setattr(solver_module.time, "monotonic", lambda: next(ticks) / 1000.0)
+    slow = solve(inst, cfg)
+    assert normal.outcome is slow.outcome is Outcome.SATISFIABLE
+    assert emit_solution(slow.solution) == emit_solution(normal.solution)
+    assert (slow.stats.entry_points_tried, slow.stats.nodes) == (
+        normal.stats.entry_points_tried, normal.stats.nodes)
 
 
-def test_solve_parallel_rail():
-    res = solve(rail_instance(), SolveConfig(parallel=True))
+def test_solve_rounds_answer_from_a_later_entry():
+    """Entries 1-3 start at item indicators and run out of their round-0
+    node budget; entry 4 starts at a gadget indicator and solves within it."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((1, 1, 1), 3, 2))
+    res = solve(inst, SolveConfig(max_time_ms=200, max_units=budget))
     assert res.outcome is Outcome.SATISFIABLE
-    assert count_units(res.solution) == 3
+    assert verify_solution(inst, res.solution) == []
+    stats = res.stats
+    assert stats.entry_points_tried >= 4
+    assert stats.rounds == 1
+    assert stats.nodes < 1000
+    assert len(stats.per_entry_ms) == stats.entry_points_tried
+    assert "rounds 1" in stats.as_text()
+
+
+def test_solve_20001_element_ladder_end_to_end():
+    """Entry 1 never backtracks here, so it finishes in round 0 whatever
+    the machine's speed (wall-clock slices of 60 ms never let it finish)."""
+    inst = ladder_instance(2, 2, 2, 10_000)
+    n = len(inst.elements)
+    assert n == 20_001
+    t0 = time.monotonic()
+    res = solve(inst)
+    elapsed = time.monotonic() - t0
+    assert res.outcome is Outcome.SATISFIABLE
+    assert verify_solution(inst, res.solution) == []
+    assert res.stats.entry_points_tried == 1 and res.stats.rounds == 1
+    assert res.stats.nodes == n + 1
+    assert elapsed < 5.0
 
 
 # ===== component cut =====
 
 
-@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("k", [1, 3, 8, 16])
 def test_component_cut_refutes_pairs_core(k):
     """Without the cut the search backtracks through all placements of the
     k pairs (96,892 nodes at k = 8; k = 16 runs out of time)."""
