@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: solve, verify, oracle, reduce, lift, bench.  Solve exit codes:
-0 satisfiable, 1 unsatisfiable, 2 timeout, 3 usage or parse error.
+0 satisfiable, 1 unsatisfiable, 2 timeout, 3 usage, parse or write error.
+Every command that writes a file exits 3 when it cannot.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    BinPackingInstance,
     Instance,
     ParseError,
     SolveConfig,
@@ -54,6 +56,23 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+def _write(path: str | None, text: str) -> bool:
+    """Write text to path, or to stdout when no path is given.
+
+    A file that cannot be written is reported through _fail and gives
+    False; the caller then exits with EXIT_ERROR, whatever it computed.
+    """
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(str(exc))
+        return False
+    return True
+
+
 def cmd_solve(args) -> int:
     try:
         inst = _load_instance(args.instance)
@@ -68,14 +87,11 @@ def cmd_solve(args) -> int:
     if args.stats:
         sys.stderr.write(result.stats.as_text())
     if result.outcome is Outcome.SATISFIABLE:
-        text = emit_solution(result.solution)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        if not _write(args.output, emit_solution(result.solution)):
+            return EXIT_ERROR
         print(f"satisfiable: {count_units(result.solution)} units", file=sys.stderr)
-        if args.emit_graph:
-            Path(args.emit_graph).write_text(solution_to_dot(result.solution), encoding="utf-8")
+        if args.emit_graph and not _write(args.emit_graph, solution_to_dot(result.solution)):
+            return EXIT_ERROR
         return EXIT_SAT
     if result.outcome is Outcome.UNSATISFIABLE:
         scope = "within unit budget" if result.stats.budget_limited else "for any unit count"
@@ -126,8 +142,6 @@ def _read_binpack(args) -> tuple:
         return parse_binpack_line(Path(args.binpack).read_text(encoding="utf-8"))
     if args.binsize is None or args.bins is None:
         raise ValueError("need --binpack FILE or --items/--binsize/--bins")
-    from .core import BinPackingInstance
-
     return BinPackingInstance(tuple(args.items or ()), args.binsize, args.bins)
 
 
@@ -142,11 +156,8 @@ def cmd_reduce(args) -> int:
         sys.stdout.write(emit_binpack_line(b))
         return 0
     inst, expected = binpack_to_pup_iucap2(b)
-    text = emit_instance(inst)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if not _write(args.output, emit_instance(inst)):
+        return EXIT_ERROR
     print(f"expected units: {expected}", file=sys.stderr)
     return 0
 
@@ -157,11 +168,8 @@ def cmd_lift(args) -> int:
         lifted, units = lift_iucap0_to_1(inst, args.units)
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
-    text = emit_instance(lifted)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if not _write(args.output, emit_instance(lifted)):
+        return EXIT_ERROR
     print(f"lifted unit budget: {units}", file=sys.stderr)
     return 0
 
@@ -264,10 +272,8 @@ def cmd_bench(args) -> int:
             str(rec["backtracks"] if rec["backtracks"] is not None else "-"),
         )
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + f"  {rec['note']}")
-    if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+    if args.records and not _write(args.records, "".join(json.dumps(rec) + "\n" for rec in records)):
+        return EXIT_ERROR
     return 1 if any_bad else 0
 
 

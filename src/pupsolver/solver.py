@@ -2,10 +2,10 @@
 
 The search restarts from each indicator in turn (from the sensors alone
 when there are none): each restart orders the elements breadth-first from
-its start and runs a recursive backtracking assignment from an empty model.  Restarts are scheduled in
-rounds: in round r every entry point, in indicator order, gets a budget of
-2 * (n + 1) * 2**r search nodes, n being the element count, so a restart
-that never backtracks (n + 1 nodes) finishes in round 0.  The first entry
+its start and runs a depth-first backtracking assignment from an empty
+model.  Restarts run in rounds: in round r every entry point, in indicator
+order, gets 2 * (n + 1) * 2**r search nodes, n being the element count, so
+a restart that never backtracks (n + 1 nodes) finishes in round 0.  The first entry
 point to find an assignment answers.  At every element the search tries
 one fresh unit first (if the unit budget allows) and then every existing
 unit in creation order; partner connections are never searched over
@@ -391,12 +391,7 @@ class PartialModel:
         )
 
 
-# ===== recursive search =====
-
-# Internal result of _assign: the component cut proved the instance
-# unsatisfiable.  Every frame passes it up like TRUE; assign and both solve
-# paths turn it into FALSE / UNSATISFIABLE.
-_REFUTED = object()
+# ===== search =====
 
 
 def _cut_positions(nbr: list[tuple[int, ...]], order: tuple[int, ...]) -> list[bool]:
@@ -423,46 +418,57 @@ def _assign(
     node_limit: int,
     max_units: int,
     stats: SearchStats,
-    trace: list | None,
-    cuts: list[bool],
 ) -> Ternary:
-    stats.nodes += 1
-    if i >= len(order):
-        return Ternary.TRUE
-    if stats.nodes > node_limit or time.monotonic() > deadline:
-        return Ternary.TIMEOUT
-    e = order[i]
-    # one fresh unit first: fresh units are interchangeable, so a single
-    # representative preserves completeness
-    if m._n_units < max_units:
-        u = m._new_unit_idx()
-        if trace is not None:
-            trace.append((m.inst.elements[e], m._unit_ids[u], "fresh"))
-        if m._place_idx(e, u):
-            r = _assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
-            if r is not Ternary.FALSE:
-                return r
-            m._unplace_idx(e, u)
-        m._drop_unit_idx(u)
-    # then every existing unit in creation order
-    for u in range(m._n_units):
-        if trace is not None:
-            trace.append((m.inst.elements[e], m._unit_ids[u], "existing"))
-        if m._place_idx(e, u):
-            r = _assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
-            if r is not Ternary.FALSE:
-                return r
-            m._unplace_idx(e, u)
-    stats.backtracks += 1
-    # component cut; ``cuts`` starts empty and is filled on first use, so a
-    # search that never gets here pays nothing for it
-    if max_units - m._n_units >= len(order) - i:
-        if not cuts:
-            cuts.extend(_cut_positions(m._nbr, order))
-        if cuts[i]:
-            stats.refuted_from = m.inst.elements[e]
-            return _REFUTED
-    return Ternary.FALSE
+    """Depth-first search of order[i:] as one loop; m's journal is its stack.
+
+    Backtracking to a position unplaces its element and resumes at the next
+    existing unit or, when the unit was created for it (``fresh``), drops
+    the unit and resumes at existing unit 0.
+    """
+    fresh: list[bool] = []  # per placed position: was its unit created there
+    cuts: list[bool] = []  # filled on first use: a search that never needs it pays nothing
+    while True:
+        stats.nodes += 1
+        if i >= len(order):
+            return Ternary.TRUE
+        if stats.nodes > node_limit or time.monotonic() > deadline:
+            return Ternary.TIMEOUT
+        # one fresh unit first: fresh units are interchangeable, so a single
+        # representative preserves completeness
+        if m._n_units < max_units:
+            u = m._new_unit_idx()
+            if m._place_idx(order[i], u):
+                fresh.append(True)
+                i += 1
+                continue
+            m._drop_unit_idx(u)
+        # then every existing unit in creation order, backtracking when none fits
+        u = 0
+        while True:
+            e = order[i]
+            while u < m._n_units and not m._place_idx(e, u):
+                u += 1
+            if u < m._n_units:
+                break
+            stats.backtracks += 1
+            # component cut (see the module docstring)
+            if max_units - m._n_units >= len(order) - i:
+                cuts = cuts or _cut_positions(m._nbr, order)
+                if cuts[i]:
+                    stats.refuted_from = m.inst.elements[e]
+                    return Ternary.FALSE
+            if not fresh:
+                return Ternary.FALSE
+            i -= 1
+            u = m._elem_unit[order[i]]
+            m._unplace_idx(order[i], u)
+            if fresh.pop():
+                m._drop_unit_idx(u)
+                u = 0
+            else:
+                u += 1
+        fresh.append(False)
+        i += 1
 
 
 def assign(
@@ -472,15 +478,14 @@ def assign(
     deadline: float,
     max_units: int,
     stats: SearchStats | None = None,
-    trace: list | None = None,
 ) -> Ternary:
-    """Recursive search step: place order.sequence[idx:] onto units of m.
+    """Search step: place order.sequence[idx:] onto units of m.
 
     TRUE means m now extends to a full consistent assignment; FALSE means no
     completion exists within max_units units (and m is restored); TIMEOUT
     means the deadline passed, leaving m journal-restorable but otherwise
     unspecified.  ``deadline`` is an absolute time.monotonic() timestamp,
-    checked on every entry, so timeout granularity is one search node.
+    checked at every search node, so timeout granularity is one node.
 
     FALSE also comes from the component cut (see the module docstring):
     a suffix that no edge joins to the placed prefix, with enough unused
@@ -491,10 +496,9 @@ def assign(
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
     mark = len(m._journal)
-    r = _assign(m, seq, idx, deadline, sys.maxsize, max_units, stats, trace, [])
-    if r is _REFUTED:
+    r = _assign(m, seq, idx, deadline, sys.maxsize, max_units, stats)
+    if r is Ternary.FALSE:
         m._undo_to(mark)
-        return Ternary.FALSE
     return r
 
 
@@ -656,10 +660,6 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
         stats.precheck = "capacity"
         return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
 
-    limit = 4 * n + 10_000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
     result = _solve_rounds(inst, cfg, max_units, stats, t_start + cfg.max_time_ms / 1000.0)
     stats.search_ms = (time.monotonic() - t_start) * 1000.0 - stats.minimize_ms - stats.freeze_ms
     return result
@@ -681,13 +681,13 @@ def _solve_rounds(
             # would hold n * |indicators| ints at once
             t0 = time.monotonic()
             order = tuple(inst.index[e] for e in _component_order(inst, start))
-            r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats, None, [])
+            r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats)
             now = time.monotonic()
             name, ms = stats.per_entry_ms[k]
             stats.per_entry_ms[k] = (name, ms + (now - t0) * 1000.0)
             if r is Ternary.TRUE:
                 return _finish_sat(inst, cfg, m, stats)
-            if r is Ternary.FALSE or r is _REFUTED:
+            if r is Ternary.FALSE:  # the model is left as it is: it is not used again
                 return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
             if now > deadline:
                 return SolveOutcome(Outcome.TIMEOUT, None, stats)

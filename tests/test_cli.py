@@ -362,6 +362,38 @@ def test_bench_bad_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+# ===== output files that cannot be written =====
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{rail}", "-o", "{out}"],
+    ["solve", "--instance", "{rail}", "--emit-graph", "{out}"],
+    ["reduce", "--items", "2", "--binsize", "2", "--bins", "1", "-o", "{out}"],
+    ["lift", "--instance", "{flat}", "--units", "2", "-o", "{out}"],
+    ["bench", "--manifest", "{manifest}", "--records", "{out}"],
+], ids=["solve-output", "solve-emit-graph", "reduce", "lift", "bench-records"])
+def test_unwritable_output_exits_3(argv, tmp_path, capsys):
+    """A write error is exit 3, not a traceback and exit 1, which solve
+    documents as unsatisfiable (rail.pup is satisfiable)."""
+    from pupsolver import Instance
+
+    flat = tmp_path / "flat.pup"
+    flat.write_text(emit_instance(Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 0)),
+                    encoding="utf-8")
+    paths = {
+        "rail": REPO_INSTANCES / "rail.pup",
+        "flat": flat,
+        "manifest": write_bench_tree(tmp_path),
+        "out": tmp_path / "no-such-dir" / "out.txt",
+    }
+    rc = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert "error:" in err and "no-such-dir" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 # ===== shipped sample instances =====
 
 

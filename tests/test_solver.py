@@ -4,7 +4,9 @@ import copy
 import hashlib
 import itertools
 import random
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,7 @@ from pupsolver import (
 from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
-from pupsolver.solver import _merge_units
+from pupsolver.solver import _assign, _component_order, _cut_positions, _merge_units
 
 from datagen import all_small_bipartite, naive_decide, rail_instance, random_instance
 
@@ -253,7 +255,29 @@ def test_randomized_place_undo_round_trips():
         assert m.unit_count == 0
 
 
-# ===== recursive assignment =====
+# ===== assignment search =====
+
+
+def _record_attempts(m: PartialModel) -> list:
+    """Record each placement the search tries on m as (element, unit, kind),
+    kind "fresh" for the unit created just before the attempt, else
+    "existing", by wrapping m's _new_unit_idx and _place_idx."""
+    attempts = []
+    created = [-1]
+    new_unit_idx, place_idx = m._new_unit_idx, m._place_idx
+
+    def new_unit():
+        created[0] = new_unit_idx()
+        return created[0]
+
+    def place(e, u):
+        kind = "fresh" if u == created[0] else "existing"
+        created[0] = -1
+        attempts.append((m.inst.elements[e], m._unit_ids[u], kind))
+        return place_idx(e, u)
+
+    m._new_unit_idx, m._place_idx = new_unit, place
+    return attempts
 
 
 def test_assign_single_edge_instance():
@@ -291,12 +315,12 @@ def test_assign_branch_order_fresh_then_existing_in_creation_order():
     inst = Instance(("i1", "i2"), ("s1",), (("i1", "s1"), ("i2", "s1")), 1, 2)
     m = PartialModel(inst, max_units=2)
     order = breadth_first_order("i1", inst)
-    trace = []
-    r = assign(order, 0, m, FAR_FUTURE, max_units=2, trace=trace)
+    attempts = _record_attempts(m)
+    r = assign(order, 0, m, FAR_FUTURE, max_units=2)
     assert r is Ternary.TRUE
-    # i1 fresh u1; s1 fresh u2, recursion to i2: fresh blocked (budget), u1
-    # full, u2 hosts it
-    assert trace == [
+    # i1 fresh u1; s1 fresh u2; then i2: fresh blocked (budget), u1 full,
+    # u2 hosts it
+    assert attempts == [
         ("i1", "u1", "fresh"),
         ("s1", "u2", "fresh"),
         ("i2", "u1", "existing"),
@@ -308,11 +332,11 @@ def test_assign_trace_existing_units_in_creation_order():
     inst = Instance(("i1", "i2", "i3"), (), (), 1, 0)
     m = PartialModel(inst, max_units=2)
     order = breadth_first_order("i1", inst)
-    trace = []
-    r = assign(order, 0, m, FAR_FUTURE, max_units=2, trace=trace)
+    attempts = _record_attempts(m)
+    r = assign(order, 0, m, FAR_FUTURE, max_units=2)
     assert r is Ternary.FALSE
     # i3 has no fresh unit left and must try u1 then u2 (both full)
-    tail = [t for t in trace if t[0] == "i3"]
+    tail = [t for t in attempts if t[0] == "i3"]
     assert tail == [("i3", "u1", "existing"), ("i3", "u2", "existing")]
 
 
@@ -560,7 +584,7 @@ def test_minimize_matches_reference_on_hand_built_models(m):
 
 def test_minimize_scales_on_20001_element_ladder():
     """The model the search builds on this ladder with zero backtracks, one
-    fresh unit per element, built without the recursive search.  The unit
+    fresh unit per element, built without the search.  The unit
     count is the all-pairs scan's, which took about 10 s on this model."""
     inst = ladder_instance(2, 2, 2, 10_000)
     m = PartialModel(inst)
@@ -712,6 +736,30 @@ def test_solve_20001_element_ladder_end_to_end():
     assert elapsed < 5.0
 
 
+def test_solve_leaves_recursion_limit_unchanged():
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        for inst in (parse_instance(RAIL_PUP.read_text()), pairs_core_instance(8)):
+            solve(inst)
+            assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_solve_20001_element_ladder_at_recursion_limit_1000():
+    """The search is a loop, so its depth in the visit order costs no stack."""
+    inst = ladder_instance(2, 2, 2, 10_000)
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        res = solve(inst)
+    finally:
+        sys.setrecursionlimit(before)
+    assert res.outcome is Outcome.SATISFIABLE
+    assert verify_solution(inst, res.solution) == []
+
+
 # ===== component cut =====
 
 
@@ -796,9 +844,6 @@ def disjoint_unions(draw):
     return inst, max_units
 
 
-# solve() raises the process-wide recursion limit for its recursive search,
-# which hypothesis reports on every example
-@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(disjoint_unions())
@@ -811,6 +856,138 @@ def test_component_cut_agrees_with_oracle_exhaustive(iucap):
     for inst in all_small_bipartite(6, iucap=iucap):
         _check_against_oracle(inst, None)
         _check_against_oracle(inst, max(len(inst.elements) // 2, 1))
+
+
+# ===== the search loop against its recursive reference =====
+
+
+# The recursive search that _assign replaced, kept verbatim as its oracle
+# with its private result for the component cut.
+_REFUTED = object()
+
+
+def _reference_assign(
+    m: PartialModel,
+    order: tuple[int, ...],
+    i: int,
+    deadline: float,
+    node_limit: int,
+    max_units: int,
+    stats: SearchStats,
+    trace: list | None,
+    cuts: list[bool],
+) -> Ternary:
+    stats.nodes += 1
+    if i >= len(order):
+        return Ternary.TRUE
+    if stats.nodes > node_limit or time.monotonic() > deadline:
+        return Ternary.TIMEOUT
+    e = order[i]
+    # one fresh unit first: fresh units are interchangeable, so a single
+    # representative preserves completeness
+    if m._n_units < max_units:
+        u = m._new_unit_idx()
+        if trace is not None:
+            trace.append((m.inst.elements[e], m._unit_ids[u], "fresh"))
+        if m._place_idx(e, u):
+            r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
+            if r is not Ternary.FALSE:
+                return r
+            m._unplace_idx(e, u)
+        m._drop_unit_idx(u)
+    # then every existing unit in creation order
+    for u in range(m._n_units):
+        if trace is not None:
+            trace.append((m.inst.elements[e], m._unit_ids[u], "existing"))
+        if m._place_idx(e, u):
+            r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
+            if r is not Ternary.FALSE:
+                return r
+            m._unplace_idx(e, u)
+    stats.backtracks += 1
+    # component cut; ``cuts`` starts empty and is filled on first use, so a
+    # search that never gets here pays nothing for it
+    if max_units - m._n_units >= len(order) - i:
+        if not cuts:
+            cuts.extend(_cut_positions(m._nbr, order))
+        if cuts[i]:
+            stats.refuted_from = m.inst.elements[e]
+            return _REFUTED
+    return Ternary.FALSE
+
+
+def _assign_matches_reference(
+    inst: Instance, start: str | None, max_units: int, node_limit: int = sys.maxsize,
+    first: int = 0,
+) -> str:
+    """Search inst from start with _assign and with _reference_assign, each
+    on a fresh model with order[:first] placed on fresh units, from position
+    first, and check that both give the same result, counters, placement
+    attempts, model state and journal.  Returns a label for the outcome:
+    "true", "false", "refuted" or "timeout"."""
+    order = tuple(inst.index[e] for e in _component_order(inst, start))
+
+    def prefix_model() -> PartialModel:
+        m = PartialModel(inst, max_units)
+        for e in order[:first]:
+            assert m._place_idx(e, m._new_unit_idx())
+        return m
+
+    m, stats = prefix_model(), SearchStats()
+    attempts = _record_attempts(m)
+    r = _assign(m, order, first, FAR_FUTURE, node_limit, max_units, stats)
+    ref_m, ref_stats, ref_attempts = prefix_model(), SearchStats(), []
+    ref = _reference_assign(ref_m, order, first, FAR_FUTURE, node_limit, max_units, ref_stats,
+                            ref_attempts, [])
+    assert r is (Ternary.FALSE if ref is _REFUTED else ref)
+    assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
+        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
+    assert attempts == ref_attempts
+    assert m.snapshot() == ref_m.snapshot()
+    assert m._journal == ref_m._journal
+    return "refuted" if ref is _REFUTED else r.value
+
+
+def test_assign_matches_reference_on_seed_1729_sweep():
+    """Every entry order of every instance of the seed-1729 sweep, at the
+    default unit budget and at half of it, from position 0 and from
+    position 1 with the entry element already placed."""
+    rng = random.Random(1729)
+    labels: Counter = Counter()
+    for _ in range(2000):
+        inst = random_instance(rng)
+        n = len(inst.elements)
+        for start in inst.indicators or (None,):
+            for max_units in {max(n, 1), max(n // 2, 1)}:
+                for first in range(min(n, 1) + 1):
+                    labels[_assign_matches_reference(inst, start, max_units, first=first)] += 1
+    assert labels["true"] > 0 and labels["false"] > 0 and labels["refuted"] > 0
+    assert labels["timeout"] == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(disjoint_unions())
+def test_assign_matches_reference_on_disjoint_unions(case):
+    inst, max_units = case
+    budget = max_units if max_units is not None else max(len(inst.elements), 1)
+    for start in inst.indicators or (None,):
+        _assign_matches_reference(inst, start, budget)
+
+
+# needs: the least node limit under which the search finishes; the leaf
+# that answers TRUE returns before the limit test, so it needs one node less
+@pytest.mark.parametrize("inst, max_units, start, needs, result", [
+    # the cut has no room at 8 units: all 163 nodes of the tree are visited
+    (pairs_core_instance(3), 8, "p0", 163, "false"),
+    (pairs_core_instance(2), 10, "p0", 16, "refuted"),
+    # (1, 1) in 2 bins of size 1: 316 nodes, 291 backtracks
+    (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i", 315, "true"),
+], ids=["exhausted", "refuted", "satisfiable"])
+def test_assign_matches_reference_at_every_node_limit(inst, max_units, start, needs, result):
+    """A node limit stops both searches at the same node, in the same state."""
+    for limit in range(1, needs + 2):
+        label = _assign_matches_reference(inst, start, max_units, limit)
+        assert label == ("timeout" if limit < needs else result)
 
 
 # ===== pinned output bytes =====
