@@ -15,7 +15,6 @@ from .core import (
     degree_precheck,
     emit_instance,
     emit_solution,
-    induce_input_graph,
     instance_to_dot,
     parse_instance,
     parse_solution,
@@ -41,7 +40,7 @@ from .solver import (
     minimize,
     solve,
 )
-from .verify import Violation, ViolationKind, count_units, verify_solution
+from .verify import Violation, ViolationKind, count_units, induce_input_graph, verify_solution
 
 __version__ = "0.1.0"
 

@@ -153,8 +153,7 @@ def cmd_reduce(args) -> int:
     if args.double or args.double_only:
         b = double_binpack(b)
     if args.double_only:
-        sys.stdout.write(emit_binpack_line(b))
-        return 0
+        return 0 if _write(args.output, emit_binpack_line(b)) else EXIT_ERROR
     inst, expected = binpack_to_pup_iucap2(b)
     if not _write(args.output, emit_instance(inst)):
         return EXIT_ERROR
@@ -315,7 +314,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--double", action="store_true",
                    help="double items and bin size before reducing")
     p.add_argument("--double-only", action="store_true",
-                   help="print the doubled one-line bin packing instance and stop")
+                   help="write the doubled one-line bin packing instance and stop")
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_reduce)
 

@@ -160,10 +160,6 @@ class SolutionGraph:
             if a == b:
                 raise ValueError(f"unit {a!r} cannot partner itself")
 
-    @property
-    def has_sides(self) -> bool:
-        return bool(self.indicators or self.sensors)
-
     @cached_property
     def unit_index(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.units)}
@@ -199,40 +195,6 @@ class SolutionGraph:
     def connected(self, u: str, v: str) -> bool:
         """True when u and v are the same unit or partners (either direction)."""
         return u == v or (u, v) in self.partners or (v, u) in self.partners
-
-    def ensure_consistent(self, ucap: int, iucap: int) -> None:
-        """Raise ValueError unless this graph satisfies its own invariants.
-
-        Checks structure only (sides known, references declared, symmetry,
-        capacities); edge coverage against an instance is the verifier's job.
-        """
-        if not self.has_sides:
-            raise ValueError("solution graph lacks indicator/sensor side information")
-        ind = set(self.indicators)
-        sen = set(self.sensors)
-        if ind & sen:
-            raise ValueError("an element cannot be both indicator and sensor")
-        if set(self.assignment) != ind | sen:
-            raise ValueError("assignment does not cover exactly the declared elements")
-        known = set(self.units)
-        for e, u in self.assignment.items():
-            if u not in known:
-                raise ValueError(f"element {e!r} assigned to undeclared unit {u!r}")
-        for a, b in self.partners:
-            if a not in known or b not in known:
-                raise ValueError(f"partner pair ({a!r}, {b!r}) references an undeclared unit")
-            if (b, a) not in self.partners:
-                raise ValueError(f"partner relation is not symmetric at ({a!r}, {b!r})")
-        for u in self.units:
-            hosted = self.unit_elements.get(u, ())
-            n_ind = sum(1 for e in hosted if e in ind)
-            n_sen = len(hosted) - n_ind
-            if n_ind > ucap:
-                raise ValueError(f"unit {u!r} hosts {n_ind} indicators, ucap is {ucap}")
-            if n_sen > ucap:
-                raise ValueError(f"unit {u!r} hosts {n_sen} sensors, ucap is {ucap}")
-            if len(self.partner_adjacency.get(u, ())) > iucap:
-                raise ValueError(f"unit {u!r} exceeds iucap {iucap}")
 
 
 @dataclass(frozen=True)
@@ -429,26 +391,8 @@ def parse_solution(text: str) -> SolutionGraph:
 
 
 # ===== derived views =====
-
-
-def induce_input_graph(g: SolutionGraph, ucap: int, iucap: int) -> Instance:
-    """The input graph a solution graph induces.
-
-    Contains edge (i, s) exactly when i and s share a unit or sit on partner
-    units; every instance the graph solves is a subgraph of this one.  The
-    graph must carry side information and satisfy its invariants.
-    """
-    g.ensure_consistent(ucap, iucap)
-    adj = g.partner_adjacency
-    edges: list[tuple[str, str]] = []
-    for i in g.indicators:
-        ui = g.assignment[i]
-        reach = adj.get(ui, frozenset())
-        for s in g.sensors:
-            us = g.assignment[s]
-            if us == ui or us in reach:
-                edges.append((i, s))
-    return Instance(g.indicators, g.sensors, tuple(edges), ucap, iucap)
+# induce_input_graph lives in verify.py: it accepts a graph only through
+# verify_solution, and this module cannot import the checker.
 
 
 def degree_precheck(inst: Instance) -> list[str]:

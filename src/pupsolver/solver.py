@@ -69,31 +69,29 @@ class ElementOrder:
     sequence: tuple[str, ...]
 
 
-def _component_order(inst: Instance, start: str | None) -> tuple[str, ...]:
+def _neighbor_indices(inst: Instance) -> list[tuple[int, ...]]:
+    """Adjacency by stable index, each list ascending."""
     idx = inst.index
-    neighbors = inst.neighbors
-    seen: set[str] = set()
-    out: list[str] = []
-    pending = start
-    while True:
-        if pending is None:
-            pending = next((e for e in inst.indicators if e not in seen), None)
-            if pending is None:
-                pending = next((e for e in inst.sensors if e not in seen), None)
-            if pending is None:
-                break
-        seen.add(pending)
-        out.append(pending)
-        level = [pending]
-        pending = None
+    return [tuple(idx[nb] for nb in inst.neighbors[e]) for e in inst.elements]
+
+
+def _component_order(nbr: list[tuple[int, ...]], start: int | None) -> tuple[int, ...]:
+    # each later component starts from its lowest unseen index: its lowest
+    # indicator, else sensor, since indicators come first in the stable index
+    seen = [False] * len(nbr)
+    out: list[int] = []
+    roots = range(len(nbr)) if start is None else (start, *range(len(nbr)))
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        out.append(root)
+        level = [root]
         while level:
-            nxt = sorted(
-                {nb for e in level for nb in neighbors[e] if nb not in seen},
-                key=idx.__getitem__,
-            )
-            seen.update(nxt)
-            out.extend(nxt)
-            level = nxt
+            level = sorted({nb for e in level for nb in nbr[e] if not seen[nb]})
+            for nb in level:
+                seen[nb] = True
+            out.extend(level)
     return tuple(out)
 
 
@@ -101,7 +99,8 @@ def breadth_first_order(start: str, inst: Instance) -> ElementOrder:
     """Breadth-first element order from a start indicator."""
     if start not in inst.indicator_set:
         raise ValueError(f"start element {start!r} is not an indicator")
-    return ElementOrder(start, _component_order(inst, start))
+    seq = _component_order(_neighbor_indices(inst), inst.index[start])
+    return ElementOrder(start, tuple(inst.elements[k] for k in seq))
 
 
 @dataclass
@@ -179,10 +178,7 @@ class PartialModel:
         n = len(inst.elements)
         self.max_units = max_units if max_units is not None else max(n, 1)
         self._is_ind = [True] * len(inst.indicators) + [False] * len(inst.sensors)
-        idx = inst.index
-        self._nbr: list[tuple[int, ...]] = [
-            tuple(idx[nb] for nb in inst.neighbors[e]) for e in inst.elements
-        ]
+        self._nbr = _neighbor_indices(inst)
         self._elem_unit = [-1] * n
         self._n_units = 0
         self._unit_ids: list[str] = []
@@ -618,14 +614,12 @@ def _empty_outcome(inst: Instance, stats: SearchStats) -> SolveOutcome:
 
 
 def _finish_sat(inst: Instance, cfg: SolveConfig, m: PartialModel, stats: SearchStats) -> SolveOutcome:
-    stats.units_before_minimize = sum(1 for u in range(m._n_units) if m._members[u])
+    stats.units_before_minimize = m.unit_count
     if cfg.minimize:
         t0 = time.monotonic()
         minimize(m)
         stats.minimize_ms = (time.monotonic() - t0) * 1000.0
-    stats.units_after_minimize = sum(
-        1 for u in range(m._n_units) if not m._dead[u] and m._members[u]
-    )
+    stats.units_after_minimize = m.unit_count
     t0 = time.monotonic()
     graph = m.to_solution_graph()
     stats.freeze_ms = (time.monotonic() - t0) * 1000.0
@@ -678,9 +672,9 @@ def _solve_rounds(
                 stats.entry_points_tried += 1
                 stats.per_entry_ms.append((start or "", 0.0))
             # rebuilt each round rather than kept: one order per indicator
-            # would hold n * |indicators| ints at once
+            # would hold n * |indicators| ints at once (indicator k is index k)
             t0 = time.monotonic()
-            order = tuple(inst.index[e] for e in _component_order(inst, start))
+            order = _component_order(m._nbr, None if start is None else k)
             r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats)
             now = time.monotonic()
             name, ms = stats.per_entry_ms[k]

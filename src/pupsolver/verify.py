@@ -1,8 +1,10 @@
-"""Independent solution checker.
+"""Independent solution checker, and the input graph a solution induces.
 
 Re-checks a solution graph against an instance from first principles; it
 shares only the core data types with the solver, none of its bookkeeping.
-Every violated requirement is reported, not just the first.
+Every violated requirement is reported, not just the first.  It is the one
+structural check of a solution graph: ``induce_input_graph`` accepts a
+graph only when ``verify_solution`` finds nothing wrong with it.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def verify_solution(inst: Instance, g: SolutionGraph) -> list[Violation]:
         us = g.assignment.get(s)
         if ui is None or us is None:
             continue  # already reported as UnassignedElement
-        if ui == us or (ui, us) in g.partners or (us, ui) in g.partners:
+        if g.connected(ui, us):
             continue
         out.append(Violation(
             ViolationKind.MISSING_CONNECTION, (i, s),
@@ -123,6 +125,24 @@ def verify_solution(inst: Instance, g: SolutionGraph) -> list[Violation]:
         ))
 
     return out
+
+
+def induce_input_graph(g: SolutionGraph, ucap: int, iucap: int) -> Instance:
+    """The input graph a solution graph induces.
+
+    Contains edge (i, s) exactly when i and s share a unit or sit on partner
+    units; every instance the graph solves is a subgraph of this one.  The
+    graph's side tuples name its elements, and it must pass verify_solution
+    against the edgeless instance on them; otherwise ValueError lists every
+    violation.
+    """
+    bare = Instance(g.indicators, g.sensors, (), ucap, iucap)
+    violations = verify_solution(bare, g)
+    if violations:
+        raise ValueError("; ".join(map(str, violations)))
+    unit = g.assignment
+    edges = [(i, s) for i in g.indicators for s in g.sensors if g.connected(unit[i], unit[s])]
+    return Instance(g.indicators, g.sensors, tuple(edges), ucap, iucap)
 
 
 def count_units(g: SolutionGraph) -> int:

@@ -252,12 +252,18 @@ def test_reduce_binpack_file(tmp_path, capsys):
     assert inst == ref
 
 
-def test_reduce_double_only(capsys):
+def test_reduce_double_only(tmp_path, capsys):
     rc = main(["reduce", "--items", "1", "2", "--binsize", "3", "--bins", "2",
                "--double-only"])
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.out.strip() == "items 2 4 ; binsize 6 ; bins 2"
+    out = tmp_path / "doubled.txt"
+    rc = main(["reduce", "--items", "1", "2", "--binsize", "3", "--bins", "2",
+               "--double-only", "-o", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8").strip() == "items 2 4 ; binsize 6 ; bins 2"
 
 
 def test_reduce_double_then_reduce(capsys):
@@ -369,9 +375,11 @@ def test_bench_bad_manifest(tmp_path, capsys):
     ["solve", "--instance", "{rail}", "-o", "{out}"],
     ["solve", "--instance", "{rail}", "--emit-graph", "{out}"],
     ["reduce", "--items", "2", "--binsize", "2", "--bins", "1", "-o", "{out}"],
+    ["reduce", "--items", "2", "--binsize", "2", "--bins", "1", "--double-only", "-o", "{out}"],
     ["lift", "--instance", "{flat}", "--units", "2", "-o", "{out}"],
     ["bench", "--manifest", "{manifest}", "--records", "{out}"],
-], ids=["solve-output", "solve-emit-graph", "reduce", "lift", "bench-records"])
+], ids=["solve-output", "solve-emit-graph", "reduce", "reduce-double-only", "lift",
+     "bench-records"])
 def test_unwritable_output_exits_3(argv, tmp_path, capsys):
     """A write error is exit 3, not a traceback and exit 1, which solve
     documents as unsatisfiable (rail.pup is satisfiable)."""

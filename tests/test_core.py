@@ -17,6 +17,7 @@ from pupsolver import (
     parse_instance,
     parse_solution,
     solution_to_dot,
+    solve,
 )
 
 from datagen import rail_instance, random_instance
@@ -238,6 +239,41 @@ def test_induce_rejects_inconsistent_graph():
     )
     with pytest.raises(ValueError):
         induce_input_graph(g, 1, 0)  # two indicators on one unit at ucap 1
+
+
+def test_induce_empty_solution_is_empty_instance():
+    empty = Instance((), (), (), 1, 0)
+    res = solve(empty)
+    assert induce_input_graph(res.solution, 1, 0) == empty
+
+
+@pytest.mark.parametrize("units, partners, kind", [
+    (("u1", "u2"), {("u1", "u2")}, "AsymmetricPartner"),
+    (("u1", "u2"), {("u1", "u2"), ("u2", "u1"), ("u1", "u9"), ("u9", "u1")}, "UnknownReference"),
+    (("u1", "u2", "u3"), {("u1", "u2"), ("u2", "u1"), ("u1", "u3"), ("u3", "u1")},
+     "PartnerCapacity"),
+], ids=["asymmetric", "undeclared-partner", "over-iucap"])
+def test_induce_rejects_through_verifier(units, partners, kind):
+    """Each graph is wrong in one partner-relation way; the error names the
+    verifier's violation kind."""
+    g = SolutionGraph(units, {"i1": "u1", "s1": "u2"}, frozenset(partners), ("i1",), ("s1",))
+    with pytest.raises(ValueError, match=kind):
+        induce_input_graph(g, 1, 1)
+
+
+def test_induce_covers_every_solved_random_instance():
+    rng = random.Random(4242)
+    solved = 0
+    for _ in range(300):
+        inst = random_instance(rng)
+        res = solve(inst, SolveConfig(max_time_ms=10_000))
+        if not res.is_satisfiable:
+            continue
+        solved += 1
+        induced = induce_input_graph(res.solution, inst.ucap, inst.iucap)
+        assert (induced.indicators, induced.sensors) == (inst.indicators, inst.sensors)
+        assert inst.edge_set <= induced.edge_set, inst
+    assert solved > 200
 
 
 # ===== degree precheck =====

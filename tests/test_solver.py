@@ -925,7 +925,7 @@ def _assign_matches_reference(
     first, and check that both give the same result, counters, placement
     attempts, model state and journal.  Returns a label for the outcome:
     "true", "false", "refuted" or "timeout"."""
-    order = tuple(inst.index[e] for e in _component_order(inst, start))
+    order = _component_order(PartialModel(inst)._nbr, None if start is None else inst.index[start])
 
     def prefix_model() -> PartialModel:
         m = PartialModel(inst, max_units)
