@@ -19,9 +19,29 @@ runs out of placements, no input edge joins the elements before i to those
 from i on, and at least len(order) - i units are still unused, the instance
 is unsatisfiable: any solution, restricted to that suffix, would fit on
 fresh units beside the placed prefix, and the complete search has just
-tried every such placement.  The search then stops instead of backtracking
+tried every such placement (or skipped it as the mirror image of a failed
+one, see below).  The search then stops instead of backtracking
 into the prefix.  This cut can only fire on unsatisfiable instances, so
 satisfiable searches visit the same nodes and emit the same bytes.
+
+A third rule skips placements that are mirror images of failed ones
+(symmetry breaking during search; Gent and Smith, ECAI 2000).  Two
+elements are twins when they are on the same side and have the same
+neighbours; swapping them maps every solution onto a solution.  Let j be
+the position of the previous twin of position i in the visit order, w its
+unit and b the unit count before j was placed.  If j created w (w == b),
+position i is searched as usual.  Otherwise, by the time i is reached,
+j has already been tried on a fresh unit and on every unit below w, with
+no solution found, so i tries only the existing units w .. b - 1.  Swapped
+with j, i on a unit below w puts j on that unit; i on a fresh unit or on a
+unit created after j puts j, once the units are renumbered in creation
+order, on a fresh unit of its own.  Either subtree was searched before
+without a solution, so a skipped placement has none either.  Twins before
+the position where a search starts do not count: their alternatives were
+never searched.  Only subtrees without a solution are skipped, so each
+entry point finds the same first solution as without the rule, and needs
+no more nodes unless the component cut would have fired in a skipped
+subtree.
 
 The search is deterministic: all tie-breaking is by the stable element
 index and every budget is counted in nodes, so repeated runs produce
@@ -179,6 +199,9 @@ class PartialModel:
         self.max_units = max_units if max_units is not None else max(n, 1)
         self._is_ind = [True] * len(inst.indicators) + [False] * len(inst.sensors)
         self._nbr = _neighbor_indices(inst)
+        # twin class: the first element on the same side with the same neighbours
+        first: dict[tuple[bool, tuple[int, ...]], int] = {}
+        self._twin = [first.setdefault((self._is_ind[e], nb), e) for e, nb in enumerate(self._nbr)]
         self._elem_unit = [-1] * n
         self._n_units = 0
         self._unit_ids: list[str] = []
@@ -406,6 +429,17 @@ def _cut_positions(nbr: list[tuple[int, ...]], order: tuple[int, ...]) -> list[b
     return cuts
 
 
+def _prev_twins(twin: list[int], order: tuple[int, ...], start: int) -> list[int]:
+    """prev[k] is the position of the last twin of order[k] in order[start:k], else -1."""
+    prev = [-1] * len(order)
+    last = [-1] * len(twin)  # per twin class: its last position so far
+    for k in range(start, len(order)):
+        c = twin[order[k]]
+        prev[k] = last[c]
+        last[c] = k
+    return prev
+
+
 def _assign(
     m: PartialModel,
     order: tuple[int, ...],
@@ -418,10 +452,16 @@ def _assign(
     """Depth-first search of order[i:] as one loop; m's journal is its stack.
 
     Backtracking to a position unplaces its element and resumes at the next
-    existing unit or, when the unit was created for it (``fresh``), drops
-    the unit and resumes at existing unit 0.
+    existing unit or, when the unit was created for it, drops the unit and
+    resumes at existing unit 0.  A twin tries only the units its previous
+    twin has not yet failed on (see the module docstring).
     """
-    fresh: list[bool] = []  # per placed position: was its unit created there
+    start = i
+    prev = _prev_twins(m._twin, order, start)
+    # per placed position: the unit count before it was placed; the position
+    # created its unit exactly when that unit's index equals this count
+    before = [0] * len(order)
+    unit_of = m._elem_unit
     cuts: list[bool] = []  # filled on first use: a search that never needs it pays nothing
     while True:
         stats.nodes += 1
@@ -429,22 +469,30 @@ def _assign(
             return Ternary.TRUE
         if stats.nodes > node_limit or time.monotonic() > deadline:
             return Ternary.TIMEOUT
-        # one fresh unit first: fresh units are interchangeable, so a single
-        # representative preserves completeness
-        if m._n_units < max_units:
-            u = m._new_unit_idx()
-            if m._place_idx(order[i], u):
-                fresh.append(True)
-                i += 1
-                continue
-            m._drop_unit_idx(u)
-        # then every existing unit in creation order, backtracking when none fits
-        u = 0
+        before[i] = m._n_units
+        j = prev[i]
+        if j < 0 or unit_of[order[j]] == before[j]:
+            # one fresh unit first: fresh units are interchangeable, so a
+            # single representative preserves completeness
+            if m._n_units < max_units:
+                u = m._new_unit_idx()
+                if m._place_idx(order[i], u):
+                    i += 1
+                    continue
+                m._drop_unit_idx(u)
+            u = 0
+        else:
+            u = unit_of[order[j]]  # the twin rule's lowest unit
+        # then the existing units in creation order, backtracking when none fits
         while True:
             e = order[i]
-            while u < m._n_units and not m._place_idx(e, u):
+            hi = m._n_units
+            j = prev[i]
+            if j >= 0 and unit_of[order[j]] != before[j]:
+                hi = before[j]  # the twin rule: no unit created after the twin
+            while u < hi and not m._place_idx(e, u):
                 u += 1
-            if u < m._n_units:
+            if u < hi:
                 break
             stats.backtracks += 1
             # component cut (see the module docstring)
@@ -453,17 +501,17 @@ def _assign(
                 if cuts[i]:
                     stats.refuted_from = m.inst.elements[e]
                     return Ternary.FALSE
-            if not fresh:
+            if i == start:
                 return Ternary.FALSE
             i -= 1
-            u = m._elem_unit[order[i]]
+            u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
-            if fresh.pop():
+            if u == before[i]:
+                # it created u, so its twin rule did not apply: next is unit 0
                 m._drop_unit_idx(u)
                 u = 0
             else:
                 u += 1
-        fresh.append(False)
         i += 1
 
 

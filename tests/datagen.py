@@ -47,6 +47,34 @@ def random_instance(
     return Instance(ind, sen, edges, rng.choice(list(ucaps)), rng.choice(list(iucaps)))
 
 
+def twin_heavy_instance(
+    rng: random.Random,
+    max_elements: int = 11,
+    ucaps=(1, 2),
+    iucaps=(0, 1, 2, 3),
+) -> Instance:
+    """A random instance of 2-6 elements grown by copies to at most
+    max_elements: each copy is a new element on the side of a drawn element
+    with that element's neighbours, so most elements have a twin (same
+    side, same neighbour set)."""
+    ind = [f"i{a}" for a in range(rng.randint(1, 3))]
+    sen = [f"s{b}" for b in range(rng.randint(1, 3))]
+    p = rng.choice([0.3, 0.5, 0.75])
+    edges = {(i, s) for i in ind for s in sen if rng.random() < p}
+    for _ in range(rng.randint(1, max_elements - len(ind) - len(sen))):
+        x = rng.choice(ind + sen)
+        if x in ind:
+            y = f"i{len(ind)}"
+            ind.append(y)
+            edges |= {(y, s) for i, s in edges if i == x}
+        else:
+            y = f"s{len(sen)}"
+            sen.append(y)
+            edges |= {(i, y) for i, s in edges if s == x}
+    return Instance(tuple(ind), tuple(sen), tuple(sorted(edges)),
+                    rng.choice(list(ucaps)), rng.choice(list(iucaps)))
+
+
 def all_small_bipartite(max_elements: int, ucaps=(1, 2), iucap: int = 0):
     """Every labeled bipartite graph with at most max_elements elements."""
     for n_ind in range(0, max_elements + 1):

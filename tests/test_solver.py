@@ -34,7 +34,13 @@ from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
 from pupsolver.solver import _assign, _component_order, _cut_positions, _merge_units
 
-from datagen import all_small_bipartite, naive_decide, rail_instance, random_instance
+from datagen import (
+    all_small_bipartite,
+    naive_decide,
+    rail_instance,
+    random_instance,
+    twin_heavy_instance,
+)
 
 
 FAR_FUTURE = time.monotonic() + 3600.0
@@ -858,11 +864,85 @@ def test_component_cut_agrees_with_oracle_exhaustive(iucap):
         _check_against_oracle(inst, max(len(inst.elements) // 2, 1))
 
 
+# ===== twin rule =====
+
+
+def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool = True):
+    """One entry's search from an empty model, with the twin rule or, when
+    twins is off, without it (every element its own twin class)."""
+    m = PartialModel(inst, max_units)
+    if not twins:
+        m._twin = list(range(len(inst.elements)))
+    stats = SearchStats()
+    order = _component_order(m._nbr, None if start is None else inst.index[start])
+    r = _assign(m, order, 0, FAR_FUTURE, sys.maxsize, max_units, stats)
+    return r, stats, m.snapshot()
+
+
+def test_twin_rule_keeps_first_solution_on_seed_1729_sweep():
+    """The rule only cuts subtrees without a solution, so every entry of
+    every instance of the seed-1729 sweep, at the default unit budget and
+    at half of it, finds the same first solution as without it, and needs
+    no more nodes unless the component cut ended either search."""
+    rng = random.Random(1729)
+    same = fewer = 0
+    for _ in range(2000):
+        inst = random_instance(rng)
+        n = len(inst.elements)
+        for start in inst.indicators or (None,):
+            for max_units in {max(n, 1), max(n // 2, 1)}:
+                r, stats, snap = _entry_search(inst, start, max_units)
+                r0, stats0, snap0 = _entry_search(inst, start, max_units, twins=False)
+                assert r is r0
+                if r is Ternary.TRUE:
+                    assert snap == snap0
+                    same += 1
+                if stats.refuted_from is None and stats0.refuted_from is None:
+                    assert stats.nodes <= stats0.nodes
+                fewer += stats.nodes < stats0.nodes
+    assert same > 0 and fewer > 0
+
+
+def test_twin_rule_agrees_with_oracle_on_twin_heavy_instances():
+    """Instances of up to 11 elements, most of them copies of another
+    element's neighbour set, at five unit budgets each."""
+    rng = random.Random(8)
+    for _ in range(1200):
+        inst = twin_heavy_instance(rng)
+        n = len(inst.elements)
+        for max_units in {n, max(n // 2, 1), max(n // 3, 1), 2, 3}:
+            _check_against_oracle(inst, max_units)
+
+
+def test_twin_rule_refutes_two_items_in_bins_of_one():
+    """Every indicator of a gadget has the same neighbours, and so does
+    every sensor.  Without the rule the search enumerates them and runs out
+    of any time budget here; with it the answer is a proof."""
+    inst, _ = binpack_to_pup_iucap2(BinPackingInstance((2,), 1, 2))
+    res = solve(inst, SolveConfig(max_units=6, max_time_ms=60_000))
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert res.stats.nodes <= 25_000
+
+
+def test_twin_rule_keeps_bytes_of_one_one_in_bins_of_one():
+    """The same bytes as without the rule, in 685 nodes instead of 4552."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2))
+    res = solve(inst, SolveConfig(max_units=budget, max_time_ms=60_000))
+    assert res.outcome is Outcome.SATISFIABLE
+    assert hashlib.sha256(emit_solution(res.solution).encode()).hexdigest() == (
+        "24542a06a0131606e356f9a0bc2b03954e3205be00d5882c6f2fa12b779ab29b"
+    )
+    assert res.stats.nodes <= 1000
+
+
 # ===== the search loop against its recursive reference =====
 
 
-# The recursive search that _assign replaced, kept verbatim as its oracle
-# with its private result for the component cut.
+# The recursive search that _assign replaced, kept as its oracle with its
+# private result for the component cut, and given the twin rule in
+# recursive form: prev[i] is the position of the previous twin of order[i]
+# (-1 when there is none) and before[k] the unit count before position k
+# was placed.
 _REFUTED = object()
 
 
@@ -876,6 +956,8 @@ def _reference_assign(
     stats: SearchStats,
     trace: list | None,
     cuts: list[bool],
+    prev: list[int],
+    before: list[int],
 ) -> Ternary:
     stats.nodes += 1
     if i >= len(order):
@@ -883,24 +965,33 @@ def _reference_assign(
     if stats.nodes > node_limit or time.monotonic() > deadline:
         return Ternary.TIMEOUT
     e = order[i]
+    # the twin rule: after a previous twin that went on an existing unit w,
+    # with b units before it, only the existing units w .. b - 1
+    lo, hi = 0, None
+    j = prev[i]
+    if j >= 0 and m._elem_unit[order[j]] != before[j]:
+        lo, hi = m._elem_unit[order[j]], before[j]
+    before[i] = m._n_units
     # one fresh unit first: fresh units are interchangeable, so a single
     # representative preserves completeness
-    if m._n_units < max_units:
+    if hi is None and m._n_units < max_units:
         u = m._new_unit_idx()
         if trace is not None:
             trace.append((m.inst.elements[e], m._unit_ids[u], "fresh"))
         if m._place_idx(e, u):
-            r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
+            r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace,
+                                  cuts, prev, before)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
         m._drop_unit_idx(u)
-    # then every existing unit in creation order
-    for u in range(m._n_units):
+    # then every allowed existing unit in creation order
+    for u in range(lo, m._n_units if hi is None else hi):
         if trace is not None:
             trace.append((m.inst.elements[e], m._unit_ids[u], "existing"))
         if m._place_idx(e, u):
-            r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace, cuts)
+            r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace,
+                                  cuts, prev, before)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
@@ -914,6 +1005,17 @@ def _reference_assign(
             stats.refuted_from = m.inst.elements[e]
             return _REFUTED
     return Ternary.FALSE
+
+
+def _reference_prev_twins(inst: Instance, order: tuple[int, ...], first: int) -> list[int]:
+    """The previous twin of each position, by a scan over the names: the
+    last position in first..k-1 with the same side and neighbours, else -1."""
+    def key(e: int) -> tuple:
+        name = inst.elements[e]
+        return name in inst.indicator_set, inst.neighbors[name]
+
+    return [max((j for j in range(first, k) if key(order[j]) == key(order[k])), default=-1)
+            for k in range(len(order))]
 
 
 def _assign_matches_reference(
@@ -938,7 +1040,8 @@ def _assign_matches_reference(
     r = _assign(m, order, first, FAR_FUTURE, node_limit, max_units, stats)
     ref_m, ref_stats, ref_attempts = prefix_model(), SearchStats(), []
     ref = _reference_assign(ref_m, order, first, FAR_FUTURE, node_limit, max_units, ref_stats,
-                            ref_attempts, [])
+                            ref_attempts, [], _reference_prev_twins(inst, order, first),
+                            [0] * len(order))
     assert r is (Ternary.FALSE if ref is _REFUTED else ref)
     assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
         ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
@@ -980,8 +1083,8 @@ def test_assign_matches_reference_on_disjoint_unions(case):
     # the cut has no room at 8 units: all 163 nodes of the tree are visited
     (pairs_core_instance(3), 8, "p0", 163, "false"),
     (pairs_core_instance(2), 10, "p0", 16, "refuted"),
-    # (1, 1) in 2 bins of size 1: 316 nodes, 291 backtracks
-    (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i", 315, "true"),
+    # (1, 1) in 2 bins of size 1: 73 nodes, 48 backtracks
+    (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i", 72, "true"),
 ], ids=["exhausted", "refuted", "satisfiable"])
 def test_assign_matches_reference_at_every_node_limit(inst, max_units, start, needs, result):
     """A node limit stops both searches at the same node, in the same state."""
