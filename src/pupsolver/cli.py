@@ -23,7 +23,7 @@ from .core import (
     parse_solution,
     solution_to_dot,
 )
-from .oracle import SizeGuardError, binpack_decide, oracle_decide, oracle_min_units
+from .oracle import SizeGuardError, oracle_decide, oracle_min_units
 from .reductions import (
     binpack_to_pup_iucap2,
     double_binpack,

@@ -20,6 +20,9 @@ Ids are whitespace-free tokens without ``#`` and must be declared before use.
 Declaration order assigns every element a stable integer index (indicators
 first, then sensors); that index is the tie-break used for all deterministic
 ordering downstream (breadth-first frontiers, entry points, unit creation).
+An ``Instance`` builds the index, and the adjacency by index that the search
+reads, once each: the index while it checks its input, the adjacency on
+first use.
 
 Solution file grammar::
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ParseError(ValueError):
@@ -50,7 +53,9 @@ class ParseError(ValueError):
 
 
 def _check_token(kind: str, tok: str) -> None:
-    if not tok or "#" in tok or any(c.isspace() for c in tok):
+    # str.split() splits at exactly the characters str.isspace() accepts, so
+    # this rejects the empty token and any token holding whitespace
+    if "#" in tok or tok.split() != [tok]:
         raise ValueError(f"{kind} id {tok!r} is not a valid token")
 
 
@@ -67,6 +72,13 @@ class Instance:
     edges: tuple[tuple[str, str], ...]
     ucap: int
     iucap: int
+    # views the checks in __post_init__ build and keep; not part of ==, hash or repr.
+    # elements: all ids in stable-index order; index: each id's stable index
+    elements: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    indicator_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    sensor_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    edge_set: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indicators", tuple(self.indicators))
@@ -76,59 +88,46 @@ class Instance:
             raise ValueError("ucap must be >= 1")
         if self.iucap < 0:
             raise ValueError("iucap must be >= 0")
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for kind, ids in (("indicator", self.indicators), ("sensor", self.sensors)):
             for tok in ids:
                 _check_token(kind, tok)
-                if tok in seen:
+                if tok in index:
                     raise ValueError(f"duplicate element id {tok!r}")
-                seen.add(tok)
+                index[tok] = len(index)
         ind = frozenset(self.indicators)
         sen = frozenset(self.sensors)
-        edge_seen: set[tuple[str, str]] = set()
+        edge_set: set[tuple[str, str]] = set()
         for a, b in self.edges:
             if a not in ind:
                 raise ValueError(f"edge endpoint {a!r} is not a declared indicator")
             if b not in sen:
                 raise ValueError(f"edge endpoint {b!r} is not a declared sensor")
-            if (a, b) in edge_seen:
+            if (a, b) in edge_set:
                 raise ValueError(f"duplicate edge ({a!r}, {b!r})")
-            edge_seen.add((a, b))
+            edge_set.add((a, b))
+        object.__setattr__(self, "elements", self.indicators + self.sensors)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "indicator_set", ind)
+        object.__setattr__(self, "sensor_set", sen)
+        object.__setattr__(self, "edge_set", frozenset(edge_set))
 
     @cached_property
-    def elements(self) -> tuple[str, ...]:
-        """All element ids in stable-index order (indicators, then sensors)."""
-        return self.indicators + self.sensors
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Stable index of every element, the global tie-break order."""
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def indicator_set(self) -> frozenset[str]:
-        return frozenset(self.indicators)
-
-    @cached_property
-    def sensor_set(self) -> frozenset[str]:
-        return frozenset(self.sensors)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each element by stable index, ascending; built on first use."""
+        adj: list[list[int]] = [[] for _ in self.elements]
+        idx = self.index
+        for a, b in self.edges:
+            i, j = idx[a], idx[b]
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     @cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
-        """Adjacency, each neighbor list sorted by stable index."""
-        adj: dict[str, list[str]] = {e: [] for e in self.elements}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        idx = self.index
-        return {e: tuple(sorted(nbrs, key=idx.__getitem__)) for e, nbrs in adj.items()}
-
-    def degree(self, elem: str) -> int:
-        return len(self.neighbors[elem])
+        """``adjacency`` by element id."""
+        els = self.elements
+        return {e: tuple(els[k] for k in nbrs) for e, nbrs in zip(els, self.adjacency)}
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,7 @@ def degree_precheck(inst: Instance) -> list[str]:
     unsatisfiability regardless of how many units are allowed.
     """
     bound = (inst.iucap + 1) * inst.ucap
-    return [e for e in inst.elements if inst.degree(e) > bound]
+    return [e for e, nbrs in zip(inst.elements, inst.adjacency) if len(nbrs) > bound]
 
 
 # ===== plain-text graph descriptions (DOT) =====

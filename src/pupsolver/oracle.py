@@ -30,7 +30,11 @@ def oracle_decide(inst: Instance, max_units: int, *, max_elements: int = 12) -> 
 
     idx = inst.index
     is_ind = [e in inst.indicator_set for e in inst.elements]
-    neighbors = [tuple(idx[nb] for nb in inst.neighbors[e]) for e in inst.elements]
+    # from the edge list, not the instance's adjacency: no view shared with the solver
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for a, b in inst.edges:
+        neighbors[idx[a]].append(idx[b])
+        neighbors[idx[b]].append(idx[a])
     ucap, iucap = inst.ucap, inst.iucap
 
     # a unit is (indicator count, sensor count, frozenset of partner unit positions)

@@ -32,11 +32,10 @@ def lift_iucap0_to_1(inst: Instance, units: int) -> tuple[Instance, int]:
         raise ValueError("lift requires an instance with iucap = 0")
     if units < 1:
         raise ValueError("unit budget must be >= 1")
-    existing = set(inst.elements)
     dummy: dict[str, str] = {}
     for x in inst.elements:
         d = f"d_{x}"
-        if d in existing:
+        if d in inst.index:
             raise ValueError(f"dummy id {d!r} collides with an existing element")
         dummy[x] = d
     indicators = inst.indicators + tuple(dummy[i] for i in inst.indicators)

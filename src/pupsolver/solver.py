@@ -89,13 +89,7 @@ class ElementOrder:
     sequence: tuple[str, ...]
 
 
-def _neighbor_indices(inst: Instance) -> list[tuple[int, ...]]:
-    """Adjacency by stable index, each list ascending."""
-    idx = inst.index
-    return [tuple(idx[nb] for nb in inst.neighbors[e]) for e in inst.elements]
-
-
-def _component_order(nbr: list[tuple[int, ...]], start: int | None) -> tuple[int, ...]:
+def _component_order(nbr: tuple[tuple[int, ...], ...], start: int | None) -> tuple[int, ...]:
     # each later component starts from its lowest unseen index: its lowest
     # indicator, else sensor, since indicators come first in the stable index
     seen = [False] * len(nbr)
@@ -119,7 +113,7 @@ def breadth_first_order(start: str, inst: Instance) -> ElementOrder:
     """Breadth-first element order from a start indicator."""
     if start not in inst.indicator_set:
         raise ValueError(f"start element {start!r} is not an indicator")
-    seq = _component_order(_neighbor_indices(inst), inst.index[start])
+    seq = _component_order(inst.adjacency, inst.index[start])
     return ElementOrder(start, tuple(inst.elements[k] for k in seq))
 
 
@@ -127,7 +121,6 @@ def breadth_first_order(start: str, inst: Instance) -> ElementOrder:
 class SearchStats:
     """Counters and timings for one solve() call."""
 
-    entry_points_tried: int = 0
     rounds: int = 0
     nodes: int = 0
     backtracks: int = 0
@@ -140,6 +133,10 @@ class SearchStats:
     precheck: str | None = None
     budget_limited: bool = False
     refuted_from: str | None = None
+
+    @property
+    def entry_points_tried(self) -> int:
+        return len(self.per_entry_ms)
 
     def as_text(self) -> str:
         lines = [
@@ -198,7 +195,7 @@ class PartialModel:
         n = len(inst.elements)
         self.max_units = max_units if max_units is not None else max(n, 1)
         self._is_ind = [True] * len(inst.indicators) + [False] * len(inst.sensors)
-        self._nbr = _neighbor_indices(inst)
+        self._nbr = inst.adjacency
         # twin class: the first element on the same side with the same neighbours
         first: dict[tuple[bool, tuple[int, ...]], int] = {}
         self._twin = [first.setdefault((self._is_ind[e], nb), e) for e, nb in enumerate(self._nbr)]
@@ -413,7 +410,7 @@ class PartialModel:
 # ===== search =====
 
 
-def _cut_positions(nbr: list[tuple[int, ...]], order: tuple[int, ...]) -> list[bool]:
+def _cut_positions(nbr: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> list[bool]:
     """cuts[k] is True when 0 < k and no edge joins order[:k] to order[k:]."""
     n = len(order)
     pos = [n] * len(nbr)
@@ -716,8 +713,7 @@ def _solve_rounds(
     while True:
         stats.rounds += 1
         for k, start in enumerate(entries):
-            if k == stats.entry_points_tried:
-                stats.entry_points_tried += 1
+            if k == len(stats.per_entry_ms):
                 stats.per_entry_ms.append((start or "", 0.0))
             # rebuilt each round rather than kept: one order per indicator
             # would hold n * |indicators| ints at once (indicator k is index k)

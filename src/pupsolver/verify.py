@@ -46,10 +46,9 @@ def verify_solution(inst: Instance, g: SolutionGraph) -> list[Violation]:
     """
     out: list[Violation] = []
     known_units = set(g.units)
-    elements = set(inst.elements)
 
     for e, u in g.assignment.items():
-        if e not in elements:
+        if e not in inst.index:
             out.append(Violation(
                 ViolationKind.UNKNOWN_REFERENCE, (e,),
                 f"assigned element {e!r} is not part of the instance",

@@ -114,10 +114,56 @@ def test_instance_constructor_rejects_bad_edges():
         Instance(("bad id",), (), (), 1, 0)
 
 
+@pytest.mark.parametrize(
+    "tok", ["", "a", "a-b", "é", "#", "a#", "a b", " a", "a\t", "a\nb", "a\xa0b", "a ", "a　b", "\x1c"]
+)
+def test_instance_token_rule(tok):
+    bad = not tok or "#" in tok or any(c.isspace() for c in tok)
+    if bad:
+        with pytest.raises(ValueError, match="is not a valid token"):
+            Instance((tok,), (), (), 1, 0)
+    else:
+        assert Instance((tok,), (), (), 1, 0).elements == (tok,)
+
+
 def test_neighbors_sorted_by_stable_index():
     inst = rail_instance()
     assert inst.neighbors["I2"] == ("S2", "S3", "S4", "S5")
     assert inst.neighbors["S3"] == ("I2", "I3")
+
+
+def _adjacency_cases():
+    rng = random.Random(2718)
+    yield Instance((), (), (), 1, 0)
+    yield Instance((), ("s0", "s1"), (), 1, 0)
+    yield Instance(("i0", "i1"), ("s0", "s1", "s2"), (("i1", "s2"),), 2, 1)  # isolated elements
+    for _ in range(300):
+        inst = random_instance(rng, max_ind=6, max_sens=6)
+        edges = list(inst.edges)
+        rng.shuffle(edges)  # the declared edge order must not leak into the adjacency
+        yield Instance(inst.indicators, inst.sensors, edges, inst.ucap, inst.iucap)
+
+
+def test_adjacency_is_ascending_neighbour_indices_from_edges():
+    for inst in _adjacency_cases():
+        pos = {e: k for k, e in enumerate(inst.indicators + inst.sensors)}
+        expected = [[] for _ in pos]
+        for a, b in inst.edges:
+            expected[pos[a]].append(pos[b])
+            expected[pos[b]].append(pos[a])
+        assert inst.adjacency == tuple(tuple(sorted(nbrs)) for nbrs in expected)
+        assert inst.neighbors == {
+            e: tuple(inst.elements[k] for k in nbrs) for e, nbrs in zip(inst.elements, inst.adjacency)
+        }
+
+
+def test_instance_views_leave_equality_hash_and_repr_alone():
+    from_tuples = Instance(("i0", "i1"), ("s0",), (("i0", "s0"), ("i1", "s0")), 2, 1)
+    from_lists = Instance(["i0", "i1"], ["s0"], [["i0", "s0"], ["i1", "s0"]], 2, 1)
+    assert from_lists.adjacency == ((2,), (2,), (0, 1))  # only one side has built its lazy views
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert repr(from_lists) == repr(from_tuples)
 
 
 def test_solve_config_validation():

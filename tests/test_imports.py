@@ -1,5 +1,5 @@
-"""The runtime is standard-library only: every absolute import in the
-package names a standard-library module."""
+"""Import hygiene: every absolute import in the package names a
+standard-library module, and every imported name is used."""
 
 import ast
 import sys
@@ -28,3 +28,31 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names the module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend(alias.asname or alias.name for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_read_or_exported():
+    unread = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in _unread_imports(path)
+    ]
+    assert unread == []

@@ -647,9 +647,9 @@ def test_solve_respects_unit_budget():
 
 
 def test_solve_timeout_on_hard_unsat():
-    # oversized item that escapes the capacity precheck: the exhaustive
-    # proof is far beyond a few milliseconds
-    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((3,), 2, 2))
+    # three items of 2 in two bins of 3 escape the capacity precheck, and
+    # the proof is far beyond 200 ms: still open after 25.8M nodes
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
     res = solve(inst, SolveConfig(max_time_ms=200, max_units=budget))
     assert res.outcome is Outcome.TIMEOUT
     assert res.solution is None
@@ -661,11 +661,10 @@ def test_solve_stats_slices_within_budget():
     res = solve(inst, SolveConfig(max_time_ms=budget_ms, max_units=budget))
     stats = res.stats
     assert stats.entry_points_tried == len(inst.indicators)
-    n_slices = len(inst.indicators)
-    slice_ms = max(1, budget_ms // n_slices)
     total = sum(ms for _, ms in stats.per_entry_ms)
-    # one slice of slack plus scheduling noise
-    assert total <= budget_ms + slice_ms + 100
+    # every entry runs under the one deadline, checked at every node, so the
+    # entries together overrun it by one node at most, plus scheduling noise
+    assert total <= budget_ms + 100
     text = stats.as_text()
     assert "entry_points_tried" in text and "backtracks" in text and "freeze_ms" in text
 
