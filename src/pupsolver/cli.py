@@ -220,6 +220,8 @@ def cmd_bench(args) -> int:
             "freeze_ms": None,
             "nodes": None,
             "backtracks": None,
+            "precheck": None,
+            "refuted_from": None,
             "note": "ok",
         }
         try:
@@ -237,6 +239,8 @@ def cmd_bench(args) -> int:
         rec["freeze_ms"] = round(result.stats.freeze_ms, 3)
         rec["nodes"] = result.stats.nodes
         rec["backtracks"] = result.stats.backtracks
+        rec["precheck"] = result.stats.precheck
+        rec["refuted_from"] = result.stats.refuted_from
         if result.outcome is Outcome.SATISFIABLE:
             rec["units"] = count_units(result.solution)
             if expected not in (None, "UNSAT"):

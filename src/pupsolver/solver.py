@@ -14,15 +14,17 @@ fully exhausted restart proves unsatisfiability for the given unit budget,
 so the default budget |indicators| + |sensors| makes an Unsatisfiable
 answer hold globally.
 
-A second proof ends a restart early.  When position i of the visit order
-runs out of placements, no input edge joins the elements before i to those
-from i on, and at least len(order) - i units are still unused, the instance
-is unsatisfiable: any solution, restricted to that suffix, would fit on
-fresh units beside the placed prefix, and the complete search has just
-tried every such placement (or skipped it as the mirror image of a failed
-one, see below).  The search then stops instead of backtracking
-into the prefix.  This cut can only fire on unsatisfiable instances, so
-satisfiable searches visit the same nodes and emit the same bytes.
+A second proof ends a restart early.  When the search backtracks out of
+the fresh unit of position i of the visit order, no input edge joins the
+elements before i to those from i on, and at least len(order) - i units
+are still unused, the instance is unsatisfiable.  A solution of the suffix
+alone would fit on fresh units beside the placed prefix; renumbered in
+creation order, it puts order[i] on the fresh unit, inside the subtree just
+searched, where twin pruning only skips mirror images of subtrees already
+searched without a solution (see below).  So the search stops instead of
+trying order[i] on the existing units.  This cut can only fire on
+unsatisfiable instances, so satisfiable searches visit the same nodes and
+emit the same bytes.
 
 A third rule skips placements that are mirror images of failed ones
 (symmetry breaking during search; Gent and Smith, ECAI 2000).  Two
@@ -492,20 +494,21 @@ def _assign(
             if u < hi:
                 break
             stats.backtracks += 1
-            # component cut (see the module docstring)
-            if max_units - m._n_units >= len(order) - i:
-                cuts = cuts or _cut_positions(m._nbr, order)
-                if cuts[i]:
-                    stats.refuted_from = m.inst.elements[e]
-                    return Ternary.FALSE
             if i == start:
                 return Ternary.FALSE
             i -= 1
             u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
             if u == before[i]:
-                # it created u, so its twin rule did not apply: next is unit 0
                 m._drop_unit_idx(u)
+                # its fresh-unit subtree is exhausted: the component cut
+                # (see the module docstring)
+                if max_units - m._n_units >= len(order) - i:
+                    cuts = cuts or _cut_positions(m._nbr, order)
+                    if cuts[i]:
+                        stats.refuted_from = m.inst.elements[order[i]]
+                        return Ternary.FALSE
+                # it created u, so its twin rule did not apply: next is unit 0
                 u = 0
             else:
                 u += 1
@@ -529,10 +532,11 @@ def assign(
     checked at every search node, so timeout granularity is one node.
 
     FALSE also comes from the component cut (see the module docstring):
-    a suffix that no edge joins to the placed prefix, with enough unused
-    units for all of it, has no placement.  The search then stops early,
-    m is unwound through its journal, and stats.refuted_from names the
-    element where that suffix starts.
+    once the first element of a suffix that no edge joins to the placed
+    prefix, with enough unused units for all of it, has been searched on a
+    fresh unit without a solution, the suffix has no placement.  The search
+    then stops early, m is unwound through its journal, and
+    stats.refuted_from names that first element.
     """
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
@@ -678,10 +682,11 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
     cfg.minimize is off).  Unsatisfiable from a search means one entry point
     either exhausted its whole tree at the given unit budget, or found a
     suffix of its visit order that no edge joins to the prefix, that had
-    enough unused units for every element in it, and that had no placement
-    (stats.refuted_from names its first element).  With the default budget
-    either is a global proof.  Timeout means the deadline, cfg.max_time_ms
-    after the call, passed before any entry point decided.
+    enough unused units for every element in it, and whose first element
+    had no solution on a fresh unit (stats.refuted_from names that
+    element).  With the default budget either is a global proof.  Timeout
+    means the deadline, cfg.max_time_ms after the call, passed before any
+    entry point decided.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     n = len(inst.elements)

@@ -102,7 +102,9 @@ def test_solve_unsatisfiable_within_budget(tmp_path, capsys):
 
 
 def test_solve_timeout(tmp_path, capsys):
-    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((3,), 2, 2))
+    # three items of 2 in two bins of 3: still open after 25.8M nodes, so
+    # no machine proves it within the 150 ms budget
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
     p = tmp_path / "hard.pup"
     p.write_text(emit_instance(inst), encoding="utf-8")
     rc = main(["solve", "--instance", str(p),
@@ -342,6 +344,27 @@ def test_bench_green_run(tmp_path, capsys):
     assert rows[1]["outcome"] == "unsatisfiable"
     assert rows[1]["nodes"] == 0 and rows[1]["backtracks"] == 0  # degree precheck
     assert rows[2]["units"] == 1  # manifest ucap/iucap override the file
+
+
+def test_bench_records_say_why_unsat(tmp_path, capsys):
+    """An UNSAT row names its proof: the precheck that decided it, or the
+    element where the component cut refuted the search."""
+    from pupsolver import Instance
+
+    manifest = write_bench_tree(tmp_path)
+    # two isolated pairs, then a 6-cycle that has no placement at ucap 1 / iucap 1
+    cycle = (("c0", "d0"), ("c1", "d0"), ("c1", "d1"), ("c2", "d1"), ("c2", "d2"), ("c0", "d2"))
+    pairs = Instance(("p0", "p1", "c0", "c1", "c2"), ("q0", "q1", "d0", "d1", "d2"),
+                     (("p0", "q0"), ("p1", "q1"), *cycle), 1, 1)
+    (tmp_path / "pairs.pup").write_text(emit_instance(pairs), encoding="utf-8")
+    manifest.write_text("pairs.pup 1 1 UNSAT\nstar.pup 1 1 UNSAT\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    assert main(["bench", "--manifest", str(manifest), "--records", str(records)]) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    assert [r["outcome"] for r in rows] == ["unsatisfiable", "unsatisfiable"]
+    assert (rows[0]["precheck"], rows[0]["refuted_from"]) == (None, "c0")
+    assert (rows[1]["precheck"], rows[1]["refuted_from"]) == ("degree", None)
 
 
 def test_bench_mismatch_exits_nonzero(tmp_path, capsys):

@@ -656,7 +656,8 @@ def test_solve_timeout_on_hard_unsat():
 
 
 def test_solve_stats_slices_within_budget():
-    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((3,), 2, 2))
+    # still open after 25.8M nodes, so every entry runs until the deadline
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
     budget_ms = 300
     res = solve(inst, SolveConfig(max_time_ms=budget_ms, max_units=budget))
     stats = res.stats
@@ -768,13 +769,16 @@ def test_solve_20001_element_ladder_at_recursion_limit_1000():
 # ===== component cut =====
 
 
-@pytest.mark.parametrize("k", [1, 3, 8, 16])
+@pytest.mark.parametrize("k", [1, 3, 8, 16, 100])
 def test_component_cut_refutes_pairs_core(k):
     """Without the cut the search backtracks through all placements of the
-    k pairs (96,892 nodes at k = 8; k = 16 runs out of time)."""
+    k pairs (96,892 nodes at k = 8; k = 16 runs out of time).  The cut
+    fires as soon as c0 has been searched on a fresh unit, not after c0 has
+    also been tried on every unit of the pairs, so the proof is linear in
+    k: 2k + 8 nodes and 7 backtracks."""
     res = solve(pairs_core_instance(k), SolveConfig(max_time_ms=2000))
     assert res.outcome is Outcome.UNSATISFIABLE
-    assert res.stats.nodes <= 100
+    assert (res.stats.nodes, res.stats.backtracks) == (2 * k + 8, 7)
     assert res.stats.entry_points_tried == 1
     assert res.stats.refuted_from == "c0"
     assert "refuted_from c0" in res.stats.as_text()
@@ -984,6 +988,15 @@ def _reference_assign(
                 return r
             m._unplace_idx(e, u)
         m._drop_unit_idx(u)
+        # component cut, once the fresh-unit subtree is exhausted; ``cuts``
+        # starts empty and is filled on first use, so a search that never
+        # gets here pays nothing for it
+        if max_units - m._n_units >= len(order) - i:
+            if not cuts:
+                cuts.extend(_cut_positions(m._nbr, order))
+            if cuts[i]:
+                stats.refuted_from = m.inst.elements[e]
+                return _REFUTED
     # then every allowed existing unit in creation order
     for u in range(lo, m._n_units if hi is None else hi):
         if trace is not None:
@@ -995,14 +1008,6 @@ def _reference_assign(
                 return r
             m._unplace_idx(e, u)
     stats.backtracks += 1
-    # component cut; ``cuts`` starts empty and is filled on first use, so a
-    # search that never gets here pays nothing for it
-    if max_units - m._n_units >= len(order) - i:
-        if not cuts:
-            cuts.extend(_cut_positions(m._nbr, order))
-        if cuts[i]:
-            stats.refuted_from = m.inst.elements[e]
-            return _REFUTED
     return Ternary.FALSE
 
 
@@ -1081,7 +1086,7 @@ def test_assign_matches_reference_on_disjoint_unions(case):
 @pytest.mark.parametrize("inst, max_units, start, needs, result", [
     # the cut has no room at 8 units: all 163 nodes of the tree are visited
     (pairs_core_instance(3), 8, "p0", 163, "false"),
-    (pairs_core_instance(2), 10, "p0", 16, "refuted"),
+    (pairs_core_instance(2), 10, "p0", 12, "refuted"),
     # (1, 1) in 2 bins of size 1: 73 nodes, 48 backtracks
     (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i", 72, "true"),
 ], ids=["exhausted", "refuted", "satisfiable"])
