@@ -197,6 +197,17 @@ def _parse_manifest(path: Path) -> list[tuple[str, int, int, str | None]]:
     return rows
 
 
+# the SearchStats fields each record copies; the ms ones are rounded to 3 places
+_BENCH_STATS = ("search_ms", "minimize_ms", "freeze_ms", "nodes", "backtracks", "precheck", "refuted_from")
+# (header, record key, width) of each table column; the note follows them
+_BENCH_COLUMNS = (
+    ("instance", "instance", 40), ("outcome", "outcome", 14), ("units", "units", 6),
+    ("expected", "expected", 9), ("+units", "delta_units", 7), ("search_ms", "search_ms", 10),
+    ("minimize_ms", "minimize_ms", 12), ("freeze_ms", "freeze_ms", 10), ("nodes", "nodes", 9),
+    ("backtracks", "backtracks", 10),
+)
+
+
 def cmd_bench(args) -> int:
     manifest = Path(args.manifest)
     try:
@@ -215,13 +226,7 @@ def cmd_bench(args) -> int:
             "outcome": None,
             "units": None,
             "delta_units": None,
-            "search_ms": None,
-            "minimize_ms": None,
-            "freeze_ms": None,
-            "nodes": None,
-            "backtracks": None,
-            "precheck": None,
-            "refuted_from": None,
+            **dict.fromkeys(_BENCH_STATS),
             "note": "ok",
         }
         try:
@@ -234,13 +239,9 @@ def cmd_bench(args) -> int:
             continue
         result = solve(inst, cfg)
         rec["outcome"] = result.outcome.value
-        rec["search_ms"] = round(result.stats.search_ms, 3)
-        rec["minimize_ms"] = round(result.stats.minimize_ms, 3)
-        rec["freeze_ms"] = round(result.stats.freeze_ms, 3)
-        rec["nodes"] = result.stats.nodes
-        rec["backtracks"] = result.stats.backtracks
-        rec["precheck"] = result.stats.precheck
-        rec["refuted_from"] = result.stats.refuted_from
+        for key in _BENCH_STATS:
+            value = getattr(result.stats, key)
+            rec[key] = round(value, 3) if key.endswith("_ms") else value
         if result.outcome is Outcome.SATISFIABLE:
             rec["units"] = count_units(result.solution)
             if expected not in (None, "UNSAT"):
@@ -255,26 +256,11 @@ def cmd_bench(args) -> int:
                 any_bad = True
         records.append(rec)
 
-    widths = (40, 14, 6, 9, 7, 10, 12, 10, 9, 10)
-    header = (
-        "instance", "outcome", "units", "expected", "+units", "search_ms", "minimize_ms", "freeze_ms",
-        "nodes", "backtracks",
-    )
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "  note")
+    print("  ".join(label.ljust(w) for label, _, w in _BENCH_COLUMNS) + "  note")
     for rec in records:
-        cells = (
-            str(rec["instance"])[:40],
-            str(rec["outcome"] or "-"),
-            str(rec["units"] if rec["units"] is not None else "-"),
-            str(rec["expected"] if rec["expected"] is not None else "-"),
-            str(rec["delta_units"] if rec["delta_units"] is not None else "-"),
-            str(rec["search_ms"] if rec["search_ms"] is not None else "-"),
-            str(rec["minimize_ms"] if rec["minimize_ms"] is not None else "-"),
-            str(rec["freeze_ms"] if rec["freeze_ms"] is not None else "-"),
-            str(rec["nodes"] if rec["nodes"] is not None else "-"),
-            str(rec["backtracks"] if rec["backtracks"] is not None else "-"),
-        )
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + f"  {rec['note']}")
+        cells = ["-" if rec[key] is None else str(rec[key]) for _, key, _ in _BENCH_COLUMNS]
+        cells[0] = cells[0][:40]  # a long instance path is cut to its column
+        print("  ".join(c.ljust(w) for c, (_, _, w) in zip(cells, _BENCH_COLUMNS)) + f"  {rec['note']}")
     if args.records and not _write(args.records, "".join(json.dumps(rec) + "\n" for rec in records)):
         return EXIT_ERROR
     return 1 if any_bad else 0

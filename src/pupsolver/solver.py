@@ -1,6 +1,6 @@
 """Heuristic backtracking solver for the Partner Units Problem.
 
-The search restarts from each indicator in turn (from the sensors alone
+The search restarts from each indicator in turn (from the first sensor
 when there are none): each restart orders the elements breadth-first from
 its start and runs a depth-first backtracking assignment from an empty
 model.  Restarts run in rounds: in round r every entry point, in indicator
@@ -91,13 +91,12 @@ class ElementOrder:
     sequence: tuple[str, ...]
 
 
-def _component_order(nbr: tuple[tuple[int, ...], ...], start: int | None) -> tuple[int, ...]:
+def _component_order(nbr: tuple[tuple[int, ...], ...], start: int) -> tuple[int, ...]:
     # each later component starts from its lowest unseen index: its lowest
     # indicator, else sensor, since indicators come first in the stable index
     seen = [False] * len(nbr)
     out: list[int] = []
-    roots = range(len(nbr)) if start is None else (start, *range(len(nbr)))
-    for root in roots:
+    for root in (start, *range(len(nbr))):
         if seen[root]:
             continue
         seen[root] = True
@@ -178,11 +177,13 @@ class SolveOutcome:
 class PartialModel:
     """Mutable solution under construction, with a journaled undo stack.
 
-    Units are identified by creation order ("u1", "u2", ...).  Every state
-    change goes through assign_and_connect / new_unit and is recorded on the
-    journal; undo_assign_and_connect / drop_unit pop and verify the matching
-    entry, so a replayed journal restores the exact prior state.  A mismatch
-    is a program-logic fault and raises RuntimeError.
+    Elements and units are indices: element e is ``inst.elements[e]`` and
+    units are numbered in creation order from 0.  Every search step goes
+    through _new_unit_idx / _place_idx and is recorded on the journal;
+    _drop_unit_idx / _unplace_idx pop and verify the matching entry, so a
+    replayed journal restores the exact prior state.  A mismatch is a
+    program-logic fault and raises RuntimeError.  minimize merges units in
+    place, off the journal, and marks each merged-away unit in ``_dead``.
 
     Partnerships live in one place: ``_partners[u]`` is the set of unit
     indices partnered with unit u.  The relation is symmetric, never holds
@@ -203,8 +204,6 @@ class PartialModel:
         self._twin = [first.setdefault((self._is_ind[e], nb), e) for e, nb in enumerate(self._nbr)]
         self._elem_unit = [-1] * n
         self._n_units = 0
-        self._unit_ids: list[str] = []
-        self._id2unit: dict[str, int] = {}
         self._ind_count: list[int] = []
         self._sens_count: list[int] = []
         self._partners: list[set[int]] = []
@@ -212,14 +211,11 @@ class PartialModel:
         self._dead: list[bool] = []
         self._journal: list[tuple] = []
 
-    # -- int-indexed fast path, used by the search --
+    # -- the journaled steps of the search --
 
     def _new_unit_idx(self) -> int:
         u = self._n_units
-        if u == len(self._unit_ids):
-            uid = f"u{u + 1}"
-            self._unit_ids.append(uid)
-            self._id2unit[uid] = u
+        if u == len(self._ind_count):
             self._ind_count.append(0)
             self._sens_count.append(0)
             self._partners.append(set())
@@ -238,6 +234,8 @@ class PartialModel:
         self._n_units = u
 
     def _place_idx(self, e: int, u: int) -> bool:
+        """Place e on u with the partner connections it forces; False, with
+        nothing changed, when that would exceed ucap or iucap."""
         if self._is_ind[e]:
             if self._ind_count[u] >= self.ucap:
                 return False
@@ -296,58 +294,11 @@ class PartialModel:
             else:
                 self._unplace_idx(entry[1], entry[2])
 
-    # -- id-based public surface --
-
-    def new_unit(self) -> str:
-        """Create the next unit (respecting max_units) and return its id."""
-        if self._n_units >= self.max_units:
-            raise ValueError("unit budget exhausted")
-        return self._unit_ids[self._new_unit_idx()]
-
-    def drop_unit(self, unit: str) -> None:
-        self._drop_unit_idx(self._unit_idx(unit))
-
-    def assign_and_connect(self, elem: str, unit: str) -> bool:
-        """Place elem on unit and create the forced partner connections.
-
-        Returns False (and changes nothing) when the unit has no free slot
-        for the element's side or the forced connections would exceed iucap
-        on either endpoint.
-        """
-        return self._place_idx(self._elem_idx(elem), self._unit_idx(unit))
-
-    def undo_assign_and_connect(self, elem: str, unit: str) -> None:
-        """Reverse the matching assign_and_connect (journal-checked)."""
-        self._unplace_idx(self._elem_idx(elem), self._unit_idx(unit))
-
-    def _elem_idx(self, elem: str) -> int:
-        try:
-            return self.inst.index[elem]
-        except KeyError:
-            raise ValueError(f"unknown element {elem!r}") from None
-
-    def _unit_idx(self, unit: str) -> int:
-        u = self._id2unit.get(unit, -1)
-        if u < 0 or u >= self._n_units:
-            raise ValueError(f"unknown unit {unit!r}")
-        if self._dead[u]:
-            raise ValueError(f"unit {unit!r} was merged away")
-        return u
+    # -- read-outs --
 
     @property
     def unit_count(self) -> int:
         return sum(1 for u in range(self._n_units) if not self._dead[u])
-
-    @property
-    def units(self) -> tuple[str, ...]:
-        return tuple(self._unit_ids[u] for u in range(self._n_units) if not self._dead[u])
-
-    def unit_of(self, elem: str) -> str | None:
-        u = self._elem_unit[self._elem_idx(elem)]
-        return None if u < 0 else self._unit_ids[u]
-
-    def partners_of(self, unit: str) -> tuple[str, ...]:
-        return tuple(self._unit_ids[w] for w in sorted(self._partners[self._unit_idx(unit)]))
 
     def snapshot(self) -> tuple:
         """Structural state for equality checks in tests."""
@@ -712,18 +663,19 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
 def _solve_rounds(
     inst: Instance, cfg: SolveConfig, max_units: int, stats: SearchStats, deadline: float
 ) -> SolveOutcome:
-    entries: tuple[str | None, ...] = inst.indicators if inst.indicators else (None,)
+    # without indicators the one entry is the first sensor, element 0
+    entries = inst.indicators or inst.elements[:1]
     m = PartialModel(inst, max_units)
     budget = 2 * (len(inst.elements) + 1)
     while True:
         stats.rounds += 1
         for k, start in enumerate(entries):
             if k == len(stats.per_entry_ms):
-                stats.per_entry_ms.append((start or "", 0.0))
+                stats.per_entry_ms.append((start, 0.0))
             # rebuilt each round rather than kept: one order per indicator
             # would hold n * |indicators| ints at once (indicator k is index k)
             t0 = time.monotonic()
-            order = _component_order(m._nbr, None if start is None else k)
+            order = _component_order(m._nbr, k)
             r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats)
             now = time.monotonic()
             name, ms = stats.per_entry_ms[k]

@@ -131,53 +131,57 @@ def test_bfs_random_orders_are_permutations():
 
 
 # ===== partial model and the undo journal =====
+#
+# The model is driven through the journaled steps the search takes:
+# elements by stable index (inst.index), units by creation index from 0.
 
 
 def test_assign_and_connect_same_unit_no_connection():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    assert m.assign_and_connect("i1", u1)
-    assert m.assign_and_connect("s1", u1)
-    assert m.partners_of(u1) == ()
-    assert m.unit_of("s1") == u1
+    u1 = m._new_unit_idx()
+    assert m._place_idx(inst.index["i1"], u1)
+    assert m._place_idx(inst.index["s1"], u1)
+    assert m._partners[u1] == set()
+    assert m._elem_unit[inst.index["s1"]] == u1
 
 
 def test_assign_and_connect_creates_forced_partnership():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 1, 1)
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    u2 = m.new_unit()
-    assert m.assign_and_connect("i1", u1)
-    assert m.assign_and_connect("s1", u2)
-    assert m.partners_of(u1) == (u2,)
-    assert m.partners_of(u2) == (u1,)
+    u1 = m._new_unit_idx()
+    u2 = m._new_unit_idx()
+    assert m._place_idx(inst.index["i1"], u1)
+    assert m._place_idx(inst.index["s1"], u2)
+    assert m._partners[u1] == {u2}
+    assert m._partners[u2] == {u1}
 
 
 def test_assign_and_connect_rejects_two_new_connections_at_iucap_1():
     inst = Instance(("i1",), ("s1", "s2"), (("i1", "s1"), ("i1", "s2")), 2, 1)
+    i1, s1, s2 = (inst.index[e] for e in ("i1", "s1", "s2"))
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    u2 = m.new_unit()
-    assert m.assign_and_connect("s1", u1)
-    assert m.assign_and_connect("s2", u2)
+    u1 = m._new_unit_idx()
+    u2 = m._new_unit_idx()
+    assert m._place_idx(s1, u1)
+    assert m._place_idx(s2, u2)
     before = m.snapshot()
-    u3 = m.new_unit()
+    u3 = m._new_unit_idx()
     # i1 on a third unit would need connections to both u1 and u2
-    assert not m.assign_and_connect("i1", u3)
-    m.drop_unit(u3)
+    assert not m._place_idx(i1, u3)
+    m._drop_unit_idx(u3)
     assert m.snapshot() == before
     # placing i1 with one of its neighbors only needs the one connection
-    assert m.assign_and_connect("i1", u1)
-    assert m.partners_of(u1) == (u2,)
+    assert m._place_idx(i1, u1)
+    assert m._partners[u1] == {u2}
 
 
 def test_assign_and_connect_respects_side_capacity():
     inst = Instance(("i1", "i2"), (), (), 1, 0)
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    assert m.assign_and_connect("i1", u1)
-    assert not m.assign_and_connect("i2", u1)
+    u1 = m._new_unit_idx()
+    assert m._place_idx(inst.index["i1"], u1)
+    assert not m._place_idx(inst.index["i2"], u1)
 
 
 def test_assign_and_connect_rejects_partner_on_full_neighbor_unit():
@@ -186,28 +190,27 @@ def test_assign_and_connect_rejects_partner_on_full_neighbor_unit():
         (("i1", "s1"), ("i2", "s2")), 1, 1
     )
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    u2 = m.new_unit()
-    u3 = m.new_unit()
-    assert m.assign_and_connect("i1", u1)
-    assert m.assign_and_connect("s1", u2)  # u1-u2 partnered, both at iucap
-    assert m.assign_and_connect("i2", u3)
+    u1, u2, u3 = (m._new_unit_idx() for _ in range(3))
+    assert m._place_idx(inst.index["i1"], u1)
+    assert m._place_idx(inst.index["s1"], u2)  # u1-u2 partnered, both at iucap
+    assert m._place_idx(inst.index["i2"], u3)
     # s2 on u1 would force u3-u1, but u1 already has its single partner
-    assert not m.assign_and_connect("s2", u1)
+    assert not m._place_idx(inst.index["s2"], u1)
 
 
 def test_undo_restores_snapshot_exactly():
     inst = rail_instance()
+    i1, s1, s2 = (inst.index[e] for e in ("I1", "S1", "S2"))
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    assert m.assign_and_connect("I1", u1)
+    u1 = m._new_unit_idx()
+    assert m._place_idx(i1, u1)
     snap = m.snapshot()
-    u2 = m.new_unit()
-    assert m.assign_and_connect("S1", u2)
-    assert m.assign_and_connect("S2", u2)
-    m.undo_assign_and_connect("S2", u2)
-    m.undo_assign_and_connect("S1", u2)
-    m.drop_unit(u2)
+    u2 = m._new_unit_idx()
+    assert m._place_idx(s1, u2)
+    assert m._place_idx(s2, u2)
+    m._unplace_idx(s2, u2)
+    m._unplace_idx(s1, u2)
+    m._drop_unit_idx(u2)
     assert m.snapshot() == snap
     m.check_counters()
 
@@ -215,12 +218,12 @@ def test_undo_restores_snapshot_exactly():
 def test_undo_journal_mismatch_is_fatal():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    m.assign_and_connect("i1", u1)
+    u1 = m._new_unit_idx()
+    m._place_idx(inst.index["i1"], u1)
     with pytest.raises(RuntimeError):
-        m.undo_assign_and_connect("s1", u1)
+        m._unplace_idx(inst.index["s1"], u1)
     with pytest.raises(RuntimeError):
-        m.drop_unit(u1)
+        m._drop_unit_idx(u1)
 
 
 def test_randomized_place_undo_round_trips():
@@ -230,23 +233,23 @@ def test_randomized_place_undo_round_trips():
         m = PartialModel(inst)
         stack = []
         snaps = [m.snapshot()]
-        for e in inst.elements:
+        for e in range(len(inst.elements)):
             if m.unit_count < m.max_units and rng.random() < 0.5:
-                u = m.new_unit()
+                u = m._new_unit_idx()
                 stack.append(("unit", u))
                 snaps.append(m.snapshot())
             placed = False
-            for u in m.units:
-                if m.assign_and_connect(e, u):
+            for u in range(m.unit_count):
+                if m._place_idx(e, u):
                     stack.append(("place", e, u))
                     snaps.append(m.snapshot())
                     placed = True
                     break
             if not placed and m.unit_count < m.max_units:
-                u = m.new_unit()
+                u = m._new_unit_idx()
                 stack.append(("unit", u))
                 snaps.append(m.snapshot())
-                if m.assign_and_connect(e, u):
+                if m._place_idx(e, u):
                     stack.append(("place", e, u))
                     snaps.append(m.snapshot())
         m.check_counters()
@@ -254,9 +257,9 @@ def test_randomized_place_undo_round_trips():
             action = stack.pop()
             snaps.pop()
             if action[0] == "place":
-                m.undo_assign_and_connect(action[1], action[2])
+                m._unplace_idx(action[1], action[2])
             else:
-                m.drop_unit(action[1])
+                m._drop_unit_idx(action[1])
             assert m.snapshot() == snaps[-1]
         assert m.unit_count == 0
 
@@ -267,22 +270,23 @@ def test_randomized_place_undo_round_trips():
 def _record_attempts(m: PartialModel) -> list:
     """Record each placement the search tries on m as (element, unit, kind),
     kind "fresh" for the unit created just before the attempt, else
-    "existing", by wrapping m's _new_unit_idx and _place_idx."""
+    "existing", by wrapping m's _new_unit_idx and _place_idx.  Units are
+    labelled by creation index: "u1" for unit 0."""
     attempts = []
     created = [-1]
     new_unit_idx, place_idx = m._new_unit_idx, m._place_idx
 
-    def new_unit():
+    def create():
         created[0] = new_unit_idx()
         return created[0]
 
     def place(e, u):
         kind = "fresh" if u == created[0] else "existing"
         created[0] = -1
-        attempts.append((m.inst.elements[e], m._unit_ids[u], kind))
+        attempts.append((m.inst.elements[e], f"u{u + 1}", kind))
         return place_idx(e, u)
 
-    m._new_unit_idx, m._place_idx = new_unit, place
+    m._new_unit_idx, m._place_idx = create, place
     return attempts
 
 
@@ -293,7 +297,8 @@ def test_assign_single_edge_instance():
     stats = SearchStats()
     r = assign(order, 0, m, FAR_FUTURE, max_units=2, stats=stats)
     assert r is Ternary.TRUE
-    assert m.unit_of("i1") is not None and m.unit_of("s1") is not None
+    assert -1 not in m._elem_unit
+    assert verify_solution(inst, m.to_solution_graph()) == []
 
 
 def test_assign_reports_false_when_budget_too_small():
@@ -352,10 +357,10 @@ def test_assign_trace_existing_units_in_creation_order():
 def test_minimize_merges_two_mergeable_units():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
     m = PartialModel(inst)
-    u1 = m.new_unit()
-    u2 = m.new_unit()
-    assert m.assign_and_connect("i1", u1)
-    assert m.assign_and_connect("s1", u2)
+    u1 = m._new_unit_idx()
+    u2 = m._new_unit_idx()
+    assert m._place_idx(inst.index["i1"], u1)
+    assert m._place_idx(inst.index["s1"], u2)
     assert m.unit_count == 2
     minimize(m)
     assert m.unit_count == 1
@@ -411,14 +416,14 @@ def test_minimize_merges_partnered_pair_and_keeps_third_partner():
     # u1 {i1}, u2 {s1}, u3 {i2, i3} full; s1 partners both u1 and u3
     inst = Instance(("i1", "i2", "i3"), ("s1",), (("i1", "s1"), ("i2", "s1")), 2, 2)
     m = PartialModel(inst)
-    u1, u2, u3 = m.new_unit(), m.new_unit(), m.new_unit()
+    u1, u2, u3 = (m._new_unit_idx() for _ in range(3))
     for e, u in (("i1", u1), ("s1", u2), ("i2", u3), ("i3", u3)):
-        assert m.assign_and_connect(e, u)
-    assert m.partners_of(u2) == (u1, u3)
+        assert m._place_idx(inst.index[e], u)
+    assert m._partners[u2] == {u1, u3}
     minimize(m)
     m.check_counters()
-    assert m.units == (u1, u3)
-    assert m.partners_of(u1) == (u3,) and m.partners_of(u3) == (u1,)
+    assert m._dead == [False, True, False]  # u2 merged into u1
+    assert m._partners[u1] == {u3} and m._partners[u3] == {u1}
     assert verify_solution(inst, m.to_solution_graph()) == []
 
 
@@ -427,14 +432,14 @@ def test_minimize_merges_pair_sharing_a_partner():
     inst = Instance(("i1", "i2", "i3", "i4"), ("s1", "s2"),
                     (("i1", "s1"), ("i2", "s1")), 2, 2)
     m = PartialModel(inst)
-    u1, u2, u3 = m.new_unit(), m.new_unit(), m.new_unit()
+    u1, u2, u3 = (m._new_unit_idx() for _ in range(3))
     for e, u in (("i1", u1), ("i2", u2), ("i3", u3), ("i4", u3), ("s1", u3), ("s2", u3)):
-        assert m.assign_and_connect(e, u)
-    assert m.partners_of(u3) == (u1, u2)
+        assert m._place_idx(inst.index[e], u)
+    assert m._partners[u3] == {u1, u2}
     minimize(m)
     m.check_counters()
-    assert m.units == (u1, u3)
-    assert m.partners_of(u3) == (u1,)
+    assert m._dead == [False, True, False]  # u2 merged into u1
+    assert m._partners[u3] == {u1}
     assert verify_solution(inst, m.to_solution_graph()) == []
 
 
@@ -466,8 +471,8 @@ def test_check_counters_rejects_broken_partner_sets():
     }
     for message, corrupt in corruptions.items():
         m = PartialModel(inst, max_units=3)
-        u1, u2, _ = m.new_unit(), m.new_unit(), m.new_unit()
-        assert m.assign_and_connect("i1", u1) and m.assign_and_connect("s1", u2)
+        u1, u2, _ = (m._new_unit_idx() for _ in range(3))
+        assert m._place_idx(inst.index["i1"], u1) and m._place_idx(inst.index["s1"], u2)
         m.check_counters()
         corrupt(m)
         with pytest.raises(RuntimeError, match=message):
@@ -516,11 +521,11 @@ def test_minimize_merges_a_unit_created_before_a():
     # first, which frees u1 of partners so that u2 can then take u1
     inst = Instance(("i0", "i1"), ("s0", "s1"), (("i0", "s0"), ("i1", "s1")), 2, 1)
     m = PartialModel(inst)
-    u1, u2, u3, u4 = (m.new_unit() for _ in range(4))
+    u1, u2, u3, u4 = (m._new_unit_idx() for _ in range(4))
     for e, u in (("i0", u1), ("s1", u2), ("i1", u3), ("s0", u4)):
-        assert m.assign_and_connect(e, u)
+        assert m._place_idx(inst.index[e], u)
     assert _minimize_matches_reference(m)
-    assert m.units == (u2,)
+    assert m._dead == [True, False, True, True]  # all merged into u2
 
 
 # (sensors per indicator, ucap, iucap) of the benchmark's five ladder rows
@@ -569,16 +574,16 @@ def hand_built_models(draw):
     inst = Instance(ind, sen, tuple(p for p, k in zip(pairs, keep) if k),
                     draw(st.integers(1, 3)), draw(st.integers(0, 3)))
     m = PartialModel(inst, max_units=2 * len(inst.elements))
-    units: list[str] = []
-    for e in draw(st.permutations(inst.elements)):
+    units: list[int] = []
+    for e in draw(st.permutations(range(len(inst.elements)))):
         if draw(st.integers(0, 4)) == 0:
-            units.append(m.new_unit())
+            units.append(m._new_unit_idx())
         if not units or draw(st.integers(0, 4)) > 0:
-            units.append(m.new_unit())
+            units.append(m._new_unit_idx())
             u = units[-1]
         else:
             u = draw(st.sampled_from(units))
-        m.assign_and_connect(e, u)
+        m._place_idx(e, u)
     return m
 
 
@@ -594,8 +599,8 @@ def test_minimize_scales_on_20001_element_ladder():
     count is the all-pairs scan's, which took about 10 s on this model."""
     inst = ladder_instance(2, 2, 2, 10_000)
     m = PartialModel(inst)
-    for e in breadth_first_order(inst.indicators[0], inst).sequence:
-        assert m.assign_and_connect(e, m.new_unit())
+    for e in _component_order(m._nbr, 0):
+        assert m._place_idx(e, m._new_unit_idx())
     t0 = time.perf_counter()
     minimize(m)
     elapsed = time.perf_counter() - t0
@@ -636,6 +641,9 @@ def test_solve_sensor_only_instance():
     assert res.outcome is Outcome.SATISFIABLE
     assert count_units(res.solution) == 2
     assert verify_solution(inst, res.solution) == []
+    # the one entry point is named after the sensor it starts from
+    assert [name for name, _ in res.stats.per_entry_ms] == ["s1"]
+    assert "\nentry s1 " in res.stats.as_text()
 
 
 def test_solve_respects_unit_budget():
@@ -870,6 +878,15 @@ def test_component_cut_agrees_with_oracle_exhaustive(iucap):
 # ===== twin rule =====
 
 
+def _entry_order(inst: Instance, start: str | None) -> tuple[int, ...]:
+    """The visit order of the entry at start, None being the sensor-only
+    entry (element 0); empty for an empty instance, which solve never
+    searches."""
+    if not inst.elements:
+        return ()
+    return _component_order(inst.adjacency, 0 if start is None else inst.index[start])
+
+
 def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool = True):
     """One entry's search from an empty model, with the twin rule or, when
     twins is off, without it (every element its own twin class)."""
@@ -877,7 +894,7 @@ def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool
     if not twins:
         m._twin = list(range(len(inst.elements)))
     stats = SearchStats()
-    order = _component_order(m._nbr, None if start is None else inst.index[start])
+    order = _entry_order(inst, start)
     r = _assign(m, order, 0, FAR_FUTURE, sys.maxsize, max_units, stats)
     return r, stats, m.snapshot()
 
@@ -980,7 +997,7 @@ def _reference_assign(
     if hi is None and m._n_units < max_units:
         u = m._new_unit_idx()
         if trace is not None:
-            trace.append((m.inst.elements[e], m._unit_ids[u], "fresh"))
+            trace.append((m.inst.elements[e], f"u{u + 1}", "fresh"))
         if m._place_idx(e, u):
             r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace,
                                   cuts, prev, before)
@@ -1000,7 +1017,7 @@ def _reference_assign(
     # then every allowed existing unit in creation order
     for u in range(lo, m._n_units if hi is None else hi):
         if trace is not None:
-            trace.append((m.inst.elements[e], m._unit_ids[u], "existing"))
+            trace.append((m.inst.elements[e], f"u{u + 1}", "existing"))
         if m._place_idx(e, u):
             r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace,
                                   cuts, prev, before)
@@ -1031,7 +1048,7 @@ def _assign_matches_reference(
     first, and check that both give the same result, counters, placement
     attempts, model state and journal.  Returns a label for the outcome:
     "true", "false", "refuted" or "timeout"."""
-    order = _component_order(PartialModel(inst)._nbr, None if start is None else inst.index[start])
+    order = _entry_order(inst, start)
 
     def prefix_model() -> PartialModel:
         m = PartialModel(inst, max_units)
