@@ -17,6 +17,7 @@ from .core import (
     Instance,
     ParseError,
     SolveConfig,
+    content_lines,
     emit_instance,
     emit_solution,
     parse_instance,
@@ -176,11 +177,7 @@ def cmd_lift(args) -> int:
 def _parse_manifest(path: Path) -> list[tuple[str, int, int, str | None]]:
     """Rows of ``<path> <ucap> <iucap> [<expected-min-units>|UNSAT]``."""
     rows = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in content_lines(path.read_text(encoding="utf-8")):
         if len(parts) not in (3, 4):
             raise ParseError(lineno, "expected: <path> <ucap> <iucap> [<expected>|UNSAT]")
         try:

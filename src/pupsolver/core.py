@@ -52,6 +52,15 @@ class ParseError(ValueError):
             super().__init__(f"line {lineno}: {message}")
 
 
+def content_lines(text: str):
+    """Yield (line number, whitespace-split tokens) of each line of text that
+    holds anything besides a ``#`` comment: the reader of every line-based format."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
 def _check_token(kind: str, tok: str) -> None:
     # str.split() splits at exactly the characters str.isspace() accepts, so
     # this rejects the empty token and any token holding whitespace
@@ -122,12 +131,6 @@ class Instance:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
-
-    @cached_property
-    def neighbors(self) -> dict[str, tuple[str, ...]]:
-        """``adjacency`` by element id."""
-        els = self.elements
-        return {e: tuple(els[k] for k in nbrs) for e, nbrs in zip(els, self.adjacency)}
 
 
 @dataclass(frozen=True)
@@ -250,11 +253,7 @@ def parse_instance(text: str) -> Instance:
     edges: list[tuple[str, str]] = []
     edge_seen: set[tuple[str, str]] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in content_lines(text):
         kw = parts[0]
         if kw in ("ucap", "iucap"):
             if len(parts) != 2:
@@ -347,11 +346,7 @@ def parse_solution(text: str) -> SolutionGraph:
     assignment: dict[str, str] = {}
     partners: set[tuple[str, str]] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in content_lines(text):
         kw = parts[0]
         if kw == "unit":
             if len(parts) != 2:

@@ -183,7 +183,12 @@ class PartialModel:
     _drop_unit_idx / _unplace_idx pop and verify the matching entry, so a
     replayed journal restores the exact prior state.  A mismatch is a
     program-logic fault and raises RuntimeError.  minimize merges units in
-    place, off the journal, and marks each merged-away unit in ``_dead``.
+    place, off the journal, and then clears it: any later undo raises.
+
+    Occupancy lives in one place: ``_hosted[u]`` holds the list of the
+    indicators and the list of the sensors on unit u, in placement order.
+    A unit is live exactly when it hosts an element; minimize empties the
+    units it merges away.
 
     Partnerships live in one place: ``_partners[u]`` is the set of unit
     indices partnered with unit u.  The relation is symmetric, never holds
@@ -197,30 +202,25 @@ class PartialModel:
         self.iucap = inst.iucap
         n = len(inst.elements)
         self.max_units = max_units if max_units is not None else max(n, 1)
-        self._is_ind = [True] * len(inst.indicators) + [False] * len(inst.sensors)
+        # 0 for an indicator, 1 for a sensor: the element's list in _hosted[u]
+        self._side = [0] * len(inst.indicators) + [1] * len(inst.sensors)
         self._nbr = inst.adjacency
         # twin class: the first element on the same side with the same neighbours
-        first: dict[tuple[bool, tuple[int, ...]], int] = {}
-        self._twin = [first.setdefault((self._is_ind[e], nb), e) for e, nb in enumerate(self._nbr)]
+        first: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._twin = [first.setdefault((self._side[e], nb), e) for e, nb in enumerate(self._nbr)]
         self._elem_unit = [-1] * n
         self._n_units = 0
-        self._ind_count: list[int] = []
-        self._sens_count: list[int] = []
+        self._hosted: list[tuple[list[int], list[int]]] = []
         self._partners: list[set[int]] = []
-        self._members: list[list[int]] = []
-        self._dead: list[bool] = []
         self._journal: list[tuple] = []
 
     # -- the journaled steps of the search --
 
     def _new_unit_idx(self) -> int:
         u = self._n_units
-        if u == len(self._ind_count):
-            self._ind_count.append(0)
-            self._sens_count.append(0)
+        if u == len(self._hosted):
+            self._hosted.append(([], []))
             self._partners.append(set())
-            self._members.append([])
-            self._dead.append(False)
         self._n_units = u + 1
         self._journal.append(("unit", u))
         return u
@@ -229,17 +229,15 @@ class PartialModel:
         entry = self._journal.pop() if self._journal else None
         if entry != ("unit", u):
             raise RuntimeError(f"undo journal mismatch: expected unit creation of {u}, got {entry}")
-        if u != self._n_units - 1 or self._members[u] or self._partners[u]:
+        if u != self._n_units - 1 or any(self._hosted[u]) or self._partners[u]:
             raise RuntimeError(f"unit {u} cannot be dropped: not the last empty unconnected unit")
         self._n_units = u
 
     def _place_idx(self, e: int, u: int) -> bool:
         """Place e on u with the partner connections it forces; False, with
         nothing changed, when that would exceed ucap or iucap."""
-        if self._is_ind[e]:
-            if self._ind_count[u] >= self.ucap:
-                return False
-        elif self._sens_count[u] >= self.ucap:
+        hosted = self._hosted[u][self._side[e]]
+        if len(hosted) >= self.ucap:
             return False
         # the partner connections this placement forces, deduplicated
         needed: list[int] = []
@@ -257,11 +255,7 @@ class PartialModel:
             if len(partners[w]) >= self.iucap:
                 return False
         self._elem_unit[e] = u
-        self._members[u].append(e)
-        if self._is_ind[e]:
-            self._ind_count[u] += 1
-        else:
-            self._sens_count[u] += 1
+        hosted.append(e)
         for w in needed:
             partners_u.add(w)
             partners[w].add(u)
@@ -272,14 +266,11 @@ class PartialModel:
         entry = self._journal.pop() if self._journal else None
         if entry is None or entry[0] != "place" or entry[1] != e or entry[2] != u:
             raise RuntimeError(f"undo journal mismatch: expected placement of {e} on {u}, got {entry}")
-        if not self._members[u] or self._members[u][-1] != e:
-            raise RuntimeError(f"undo journal mismatch: {e} is not the newest element of unit {u}")
-        self._members[u].pop()
+        hosted = self._hosted[u][self._side[e]]
+        if not hosted or hosted[-1] != e:
+            raise RuntimeError(f"undo journal mismatch: {e} is not the newest of its side on unit {u}")
+        hosted.pop()
         self._elem_unit[e] = -1
-        if self._is_ind[e]:
-            self._ind_count[u] -= 1
-        else:
-            self._sens_count[u] -= 1
         for w in entry[3]:
             self._partners[u].discard(w)
             self._partners[w].discard(u)
@@ -298,49 +289,49 @@ class PartialModel:
 
     @property
     def unit_count(self) -> int:
-        return sum(1 for u in range(self._n_units) if not self._dead[u])
+        return sum(1 for ind, sens in self._hosted[: self._n_units] if ind or sens)
 
     def snapshot(self) -> tuple:
         """Structural state for equality checks in tests."""
         n = self._n_units
         return (
             tuple(self._elem_unit),
-            n,
-            tuple(self._ind_count[:n]),
-            tuple(self._sens_count[:n]),
             tuple(tuple(sorted(p)) for p in self._partners[:n]),
-            tuple(tuple(m) for m in self._members[:n]),
-            tuple(self._dead[:n]),
+            tuple((tuple(ind), tuple(sens)) for ind, sens in self._hosted[:n]),
         )
 
     def check_counters(self) -> None:
-        """Recompute the capacity counters and check the partner sets."""
+        """Check the host lists and partner sets against each other and the caps."""
         n = self._n_units
         for u in range(n):
-            ind = sum(1 for e in self._members[u] if self._is_ind[e])
-            sen = len(self._members[u]) - ind
-            if ind != self._ind_count[u] or sen != self._sens_count[u]:
-                raise RuntimeError(f"stale capacity counters on unit {u}")
+            for side, hosted in enumerate(self._hosted[u]):
+                if len(hosted) > self.ucap:
+                    raise RuntimeError(f"unit {u} hosts more than ucap elements of one side")
+                for e in hosted:
+                    if self._side[e] != side:
+                        raise RuntimeError(f"element {e} is in the wrong side's list of unit {u}")
+                    if self._elem_unit[e] != u:
+                        raise RuntimeError(f"element {e} is listed on unit {u} but placed on another")
             partners = self._partners[u]
             if u in partners:
                 raise RuntimeError(f"unit {u} is its own partner")
             if len(partners) > self.iucap:
                 raise RuntimeError(f"unit {u} has more than iucap partners")
-            if self._dead[u] and partners:
-                raise RuntimeError(f"merged-away unit {u} still has partners")
+            if partners and not any(self._hosted[u]):
+                raise RuntimeError(f"empty unit {u} still has partners")
             if any(w >= n or u not in self._partners[w] for w in partners):
                 raise RuntimeError(f"asymmetric partnership on unit {u}")
         for e, u in enumerate(self._elem_unit):
-            if u >= 0 and e not in self._members[u]:
-                raise RuntimeError(f"element {e} missing from its unit member list")
+            if u >= 0 and self._hosted[u][self._side[e]].count(e) != 1:
+                raise RuntimeError(f"element {e} is not listed once on its unit")
 
     def to_solution_graph(self) -> SolutionGraph:
         """Freeze into an immutable SolutionGraph.
 
-        Surviving occupied units are renumbered u1..uK in creation order, so
-        merges performed by minimize leave no gaps in the emitted ids.
+        Live units are renumbered u1..uK in creation order, so merges
+        performed by minimize leave no gaps in the emitted ids.
         """
-        live = [u for u in range(self._n_units) if not self._dead[u] and self._members[u]]
+        live = [u for u, (ind, sens) in enumerate(self._hosted[: self._n_units]) if ind or sens]
         rename = {u: f"u{k + 1}" for k, u in enumerate(live)}
         elements = self.inst.elements
         assignment: dict[str, str] = {}
@@ -507,13 +498,14 @@ def minimize(m: PartialModel) -> PartialModel:
     For each ordered pair (A, B) of live units in creation order, B is merged
     into A when the combined indicator count, combined sensor count, and the
     union of partner sets minus the pair itself all stay within capacity.
-    Never increases the unit count and preserves solution consistency.
+    Never increases the unit count and preserves solution consistency.  The
+    merges are not journaled, so it clears m's journal: any later undo raises.
 
     The pairs are looked up, not scanned, with the same merges as a scan.
     The model only changes at a merge, so for each A it is enough to find
     the lowest-index live B after the one last merged into it (from the
-    first unit for a new A, so B may precede A).  Each merge of a non-empty
-    unit adds an element to A, so A needs at most about 2 * ucap lookups.
+    first unit for a new A, so B may precede A).  Empty units take no part,
+    and each merge adds an element to A, so A needs at most 2 * ucap lookups.
     A unit B passes the partner test in one of two ways:
 
     - B is within two partner hops of A (a partner of A, or sharing a
@@ -528,24 +520,25 @@ def minimize(m: PartialModel) -> PartialModel:
       stale entries are dropped when a lookup meets them.
     """
     ucap, iucap = m.ucap, m.iucap
-    ind, sens, partners, dead = m._ind_count, m._sens_count, m._partners, m._dead
+    hosted, partners = m._hosted, m._partners
     n = m._n_units
-    # a bucket entry u is stale once key_of[u] differs from the bucket's key
+    # key_of[u] is live unit u's current key, None for an empty unit; a
+    # bucket entry u is stale once key_of[u] differs from the bucket's key
     key_of: list[tuple[int, int, int] | None] = [None] * n
     buckets: dict[tuple[int, int, int], list[int]] = {}
-    for u in range(n):  # in index order, so each bucket starts sorted
-        if not dead[u]:
-            key_of[u] = key = (ind[u], sens[u], len(partners[u]))
+    for u, (ind, sens) in enumerate(hosted[:n]):  # in index order, so each bucket starts sorted
+        if ind or sens:
+            key_of[u] = key = (len(ind), len(sens), len(partners[u]))
             buckets.setdefault(key, []).append(u)
     for a in range(n):
-        if dead[a]:
+        if key_of[a] is None:
             continue
         b = -1
         while True:
             # b becomes the lowest live unit after the last one merged into
             # a that passes all three tests, or n when there is none
             start, b = b, n
-            room_i, room_s = ucap - ind[a], ucap - sens[a]
+            room_i, room_s = ucap - key_of[a][0], ucap - key_of[a][1]
             pa = partners[a]
             room_p = iucap - len(pa)
             # any b whose key fits beside a passes: |P[a]| + |P[b]| <= iucap
@@ -566,8 +559,8 @@ def minimize(m: PartialModel) -> PartialModel:
             # units within two partner hops of a, tested directly
             for w in pa:
                 for c in (w, *partners[w]):
-                    if (start < c < b and c != a and ind[c] <= room_i and sens[c] <= room_s
-                            and len((pa | partners[c]) - {a, c}) <= iucap):
+                    if (start < c < b and c != a and key_of[c][0] <= room_i
+                            and key_of[c][1] <= room_s and len((pa | partners[c]) - {a, c}) <= iucap):
                         b = c
             if b == n:
                 break
@@ -575,23 +568,21 @@ def minimize(m: PartialModel) -> PartialModel:
             _merge_units(m, a, b, (pa | partners[b]) - {a, b})
             key_of[b] = None
             for u in (a, *shared):
-                key_of[u] = key = (ind[u], sens[u], len(partners[u]))
+                key_of[u] = key = (len(hosted[u][0]), len(hosted[u][1]), len(partners[u]))
                 bucket = buckets.setdefault(key, [])
                 i = bisect_left(bucket, u)
                 if i == len(bucket) or bucket[i] != u:
                     bucket.insert(i, u)
+    m._journal.clear()
     return m
 
 
 def _merge_units(m: PartialModel, a: int, b: int, merged: set[int]) -> None:
-    for e in m._members[b]:
-        m._elem_unit[e] = a
-        m._members[a].append(e)
-    m._ind_count[a] += m._ind_count[b]
-    m._sens_count[a] += m._sens_count[b]
-    m._members[b] = []
-    m._ind_count[b] = 0
-    m._sens_count[b] = 0
+    for mine, theirs in zip(m._hosted[a], m._hosted[b]):
+        for e in theirs:
+            m._elem_unit[e] = a
+        mine.extend(theirs)
+        theirs.clear()
     # rewire: every partner of b other than a now partners a instead; a's
     # own partners other than b are already in merged and keep their edge
     for w in m._partners[b]:
@@ -600,20 +591,12 @@ def _merge_units(m: PartialModel, a: int, b: int, merged: set[int]) -> None:
             m._partners[w].add(a)
     m._partners[a] = merged
     m._partners[b] = set()
-    m._dead[b] = True
 
 
 # ===== top-level solve =====
 
 
-def _empty_outcome(inst: Instance, stats: SearchStats) -> SolveOutcome:
-    g = SolutionGraph((), {}, frozenset(), inst.indicators, inst.sensors)
-    stats.units_before_minimize = 0
-    stats.units_after_minimize = 0
-    return SolveOutcome(Outcome.SATISFIABLE, g, stats)
-
-
-def _finish_sat(inst: Instance, cfg: SolveConfig, m: PartialModel, stats: SearchStats) -> SolveOutcome:
+def _finish_sat(cfg: SolveConfig, m: PartialModel, stats: SearchStats) -> SolveOutcome:
     stats.units_before_minimize = m.unit_count
     if cfg.minimize:
         t0 = time.monotonic()
@@ -647,7 +630,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
 
     t_start = time.monotonic()
     if n == 0:
-        return _empty_outcome(inst, stats)
+        return _finish_sat(cfg, PartialModel(inst, max_units), stats)
     if degree_precheck(inst):
         stats.precheck = "degree"
         return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
@@ -681,7 +664,7 @@ def _solve_rounds(
             name, ms = stats.per_entry_ms[k]
             stats.per_entry_ms[k] = (name, ms + (now - t0) * 1000.0)
             if r is Ternary.TRUE:
-                return _finish_sat(inst, cfg, m, stats)
+                return _finish_sat(cfg, m, stats)
             if r is Ternary.FALSE:  # the model is left as it is: it is not used again
                 return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
             if now > deadline:

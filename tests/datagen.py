@@ -143,9 +143,8 @@ def enumerate_solutions(inst: Instance, max_units: int):
     partner position set) and where maps element positions to unit positions.
     """
     n = len(inst.elements)
-    idx = inst.index
     is_ind = [e in inst.indicator_set for e in inst.elements]
-    nbrs = [tuple(idx[nb] for nb in inst.neighbors[e]) for e in inst.elements]
+    nbrs = inst.adjacency
     ucap, iucap = inst.ucap, inst.iucap
     out = []
 

@@ -60,7 +60,7 @@ def test_parse_rail_text():
 def test_stable_index_is_indicators_then_sensors():
     inst = parse_instance("ucap 1\niucap 0\nsensor s\nindicator i\n")
     assert inst.elements == ("i", "s")
-    assert inst.neighbors["i"] == ()
+    assert inst.adjacency == ((), ())
 
 
 @pytest.mark.parametrize(
@@ -128,8 +128,9 @@ def test_instance_token_rule(tok):
 
 def test_neighbors_sorted_by_stable_index():
     inst = rail_instance()
-    assert inst.neighbors["I2"] == ("S2", "S3", "S4", "S5")
-    assert inst.neighbors["S3"] == ("I2", "I3")
+    idx = inst.index
+    assert [inst.elements[k] for k in inst.adjacency[idx["I2"]]] == ["S2", "S3", "S4", "S5"]
+    assert [inst.elements[k] for k in inst.adjacency[idx["S3"]]] == ["I2", "I3"]
 
 
 def _adjacency_cases():
@@ -152,9 +153,6 @@ def test_adjacency_is_ascending_neighbour_indices_from_edges():
             expected[pos[a]].append(pos[b])
             expected[pos[b]].append(pos[a])
         assert inst.adjacency == tuple(tuple(sorted(nbrs)) for nbrs in expected)
-        assert inst.neighbors == {
-            e: tuple(inst.elements[k] for k in nbrs) for e, nbrs in zip(inst.elements, inst.adjacency)
-        }
 
 
 def test_instance_views_leave_equality_hash_and_repr_alone():

@@ -1,5 +1,6 @@
 """Import hygiene: every absolute import in the package names a
-standard-library module, and every imported name is used."""
+standard-library module, every imported name is used, and every
+module-level private definition is read."""
 
 import ast
 import sys
@@ -55,4 +56,33 @@ def test_every_import_is_read_or_exported():
         for path in sorted(PACKAGE.rglob("*.py"))
         for name in _unread_imports(path)
     ]
+    assert unread == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_private`` functions, classes and constants (not dunders)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_definition_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [f"{name}: {d}" for name, tree in trees.items()
+              for d in _private_definitions(tree) if d not in read]
     assert unread == []

@@ -94,7 +94,7 @@ def test_bfs_levels_and_index_tiebreak():
             frontier = [
                 nb
                 for e in frontier
-                for nb in inst.neighbors[e]
+                for nb in (inst.elements[k] for k in inst.adjacency[inst.index[e]])
                 if nb not in dist and dist.setdefault(nb, dist[e] + 1) is not None
             ]
         levels = [dist[e] for e in seq]
@@ -234,18 +234,18 @@ def test_randomized_place_undo_round_trips():
         stack = []
         snaps = [m.snapshot()]
         for e in range(len(inst.elements)):
-            if m.unit_count < m.max_units and rng.random() < 0.5:
+            if m._n_units < m.max_units and rng.random() < 0.5:
                 u = m._new_unit_idx()
                 stack.append(("unit", u))
                 snaps.append(m.snapshot())
             placed = False
-            for u in range(m.unit_count):
+            for u in range(m._n_units):
                 if m._place_idx(e, u):
                     stack.append(("place", e, u))
                     snaps.append(m.snapshot())
                     placed = True
                     break
-            if not placed and m.unit_count < m.max_units:
+            if not placed and m._n_units < m.max_units:
                 u = m._new_unit_idx()
                 stack.append(("unit", u))
                 snaps.append(m.snapshot())
@@ -261,7 +261,7 @@ def test_randomized_place_undo_round_trips():
             else:
                 m._drop_unit_idx(action[1])
             assert m.snapshot() == snaps[-1]
-        assert m.unit_count == 0
+        assert m._n_units == 0
 
 
 # ===== assignment search =====
@@ -364,6 +364,7 @@ def test_minimize_merges_two_mergeable_units():
     assert m.unit_count == 2
     minimize(m)
     assert m.unit_count == 1
+    assert m._journal == []  # the merges are not journaled: minimize ends the journal
     g = m.to_solution_graph()
     assert count_units(g) == 1
     assert verify_solution(inst, g) == []
@@ -422,7 +423,7 @@ def test_minimize_merges_partnered_pair_and_keeps_third_partner():
     assert m._partners[u2] == {u1, u3}
     minimize(m)
     m.check_counters()
-    assert m._dead == [False, True, False]  # u2 merged into u1
+    assert [any(h) for h in m._hosted] == [True, False, True]  # u2 merged into u1
     assert m._partners[u1] == {u3} and m._partners[u3] == {u1}
     assert verify_solution(inst, m.to_solution_graph()) == []
 
@@ -438,7 +439,7 @@ def test_minimize_merges_pair_sharing_a_partner():
     assert m._partners[u3] == {u1, u2}
     minimize(m)
     m.check_counters()
-    assert m._dead == [False, True, False]  # u2 merged into u1
+    assert [any(h) for h in m._hosted] == [True, False, True]  # u2 merged into u1
     assert m._partners[u3] == {u1}
     assert verify_solution(inst, m.to_solution_graph()) == []
 
@@ -467,7 +468,10 @@ def test_check_counters_rejects_broken_partner_sets():
         "asymmetric": lambda m: m._partners[1].discard(0),
         "its own partner": lambda m: m._partners[0].add(0),
         "more than iucap": lambda m: (m._partners[0].add(2), m._partners[2].add(0)),
-        "merged-away": lambda m: m._dead.__setitem__(1, True),
+        "wrong side": lambda m: m._hosted[1][0].append(m._hosted[1][1].pop()),
+        "placed on another": lambda m: m._elem_unit.__setitem__(1, 0),
+        "more than ucap": lambda m: m._hosted[0][0].append(1),
+        "empty unit": lambda m: (m._hosted[1][1].clear(), m._elem_unit.__setitem__(1, -1)),
     }
     for message, corrupt in corruptions.items():
         m = PartialModel(inst, max_units=3)
@@ -480,19 +484,18 @@ def test_check_counters_rejects_broken_partner_sets():
 
 
 def _reference_minimize(m: PartialModel) -> PartialModel:
-    """The all-pairs scan that minimize replaced, kept as its oracle."""
+    """The all-pairs scan that minimize replaced, kept as its oracle; empty
+    units take no part."""
     ucap, iucap = m.ucap, m.iucap
-    partners = m._partners
+    hosted, partners = m._hosted, m._partners
     n = m._n_units
     for a in range(n):
-        if m._dead[a]:
-            continue
         for b in range(n):
-            if a == b or m._dead[a] or m._dead[b]:
+            if a == b or not any(hosted[a]) or not any(hosted[b]):
                 continue
-            if m._ind_count[a] + m._ind_count[b] > ucap:
+            if len(hosted[a][0]) + len(hosted[b][0]) > ucap:
                 continue
-            if m._sens_count[a] + m._sens_count[b] > ucap:
+            if len(hosted[a][1]) + len(hosted[b][1]) > ucap:
                 continue
             merged = (partners[a] | partners[b]) - {a, b}
             if len(merged) > iucap:
@@ -525,7 +528,7 @@ def test_minimize_merges_a_unit_created_before_a():
     for e, u in (("i0", u1), ("s1", u2), ("i1", u3), ("s0", u4)):
         assert m._place_idx(inst.index[e], u)
     assert _minimize_matches_reference(m)
-    assert m._dead == [True, False, True, True]  # all merged into u2
+    assert [any(h) for h in m._hosted] == [False, True, False, False]  # all merged into u2
 
 
 # (sensors per indicator, ucap, iucap) of the benchmark's five ladder rows
@@ -543,8 +546,8 @@ def test_minimize_matches_reference_on_ladders(shape):
 
 
 def test_minimize_matches_reference_on_seed_1729_sweep(monkeypatch):
-    """Every model that solve() minimizes in the seed-1729 sweep: its 1809
-    satisfiable answers less the 88 empty instances, which build no model."""
+    """Every model that solve() minimizes in the seed-1729 sweep: one per
+    satisfiable answer, the 88 empty instances' empty models among them."""
     counts = {"models": 0, "b_before_a": 0}
 
     def checked(m):
@@ -556,7 +559,7 @@ def test_minimize_matches_reference_on_seed_1729_sweep(monkeypatch):
     rng = random.Random(1729)
     for _ in range(2000):
         solve(random_instance(rng), SolveConfig(max_time_ms=10_000))
-    assert counts["models"] == 1721
+    assert counts["models"] == 1809
     assert counts["b_before_a"] >= 1
 
 
@@ -1029,11 +1032,10 @@ def _reference_assign(
 
 
 def _reference_prev_twins(inst: Instance, order: tuple[int, ...], first: int) -> list[int]:
-    """The previous twin of each position, by a scan over the names: the
-    last position in first..k-1 with the same side and neighbours, else -1."""
+    """The previous twin of each position, by a scan: the last position in
+    first..k-1 with the same side and neighbours, else -1."""
     def key(e: int) -> tuple:
-        name = inst.elements[e]
-        return name in inst.indicator_set, inst.neighbors[name]
+        return inst.elements[e] in inst.indicator_set, inst.adjacency[e]
 
     return [max((j for j in range(first, k) if key(order[j]) == key(order[k])), default=-1)
             for k in range(len(order))]
