@@ -403,15 +403,20 @@ def degree_precheck(inst: Instance) -> list[str]:
 # ===== plain-text graph descriptions (DOT) =====
 
 
+def _dot_quote(*lines: str) -> str:
+    """The lines as one DOT quoted string joined by ``\\n``, with ``"`` and ``\\`` escaped."""
+    return '"' + "\\n".join(t.replace("\\", "\\\\").replace('"', '\\"') for t in lines) + '"'
+
+
 def instance_to_dot(inst: Instance) -> str:
     """Bipartite input graph in DOT format (indicators boxed)."""
     lines = ["graph instance {"]
     for i in inst.indicators:
-        lines.append(f'  "{i}" [shape=box];')
+        lines.append(f"  {_dot_quote(i)} [shape=box];")
     for s in inst.sensors:
-        lines.append(f'  "{s}" [shape=ellipse];')
+        lines.append(f"  {_dot_quote(s)} [shape=ellipse];")
     for a, b in inst.edges:
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -421,11 +426,10 @@ def solution_to_dot(g: SolutionGraph) -> str:
     lines = ["graph solution {", "  node [shape=box];"]
     occupied = [u for u in g.units if g.unit_elements.get(u)]
     for u in occupied:
-        label = "\\n".join([u] + list(sorted(g.unit_elements[u])))
-        lines.append(f'  "{u}" [label="{label}"];')
+        lines.append(f"  {_dot_quote(u)} [label={_dot_quote(u, *sorted(g.unit_elements[u]))}];")
     occ = set(occupied)
     for a, b in g.canonical_partners:
         if a in occ and b in occ:
-            lines.append(f'  "{a}" -- "{b}";')
+            lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -178,12 +178,13 @@ class PartialModel:
     """Mutable solution under construction, with a journaled undo stack.
 
     Elements and units are indices: element e is ``inst.elements[e]`` and
-    units are numbered in creation order from 0.  Every search step goes
-    through _new_unit_idx / _place_idx and is recorded on the journal;
-    _drop_unit_idx / _unplace_idx pop and verify the matching entry, so a
-    replayed journal restores the exact prior state.  A mismatch is a
-    program-logic fault and raises RuntimeError.  minimize merges units in
-    place, off the journal, and then clears it: any later undo raises.
+    units are numbered in creation order from 0.  Every search step is a
+    _place_idx, recorded on the journal; _unplace_idx pops and verifies the
+    matching entry, so a replayed journal restores the exact prior state.
+    A placement on unit _n_units opens that unit, and undoing the placement
+    that opened a unit closes it.  A mismatch is a program-logic fault and
+    raises RuntimeError.  minimize merges units in place, off the journal,
+    and then clears it: any later undo raises.
 
     Occupancy lives in one place: ``_hosted[u]`` holds the list of the
     indicators and the list of the sensors on unit u, in placement order.
@@ -216,26 +217,13 @@ class PartialModel:
 
     # -- the journaled steps of the search --
 
-    def _new_unit_idx(self) -> int:
-        u = self._n_units
-        if u == len(self._hosted):
-            self._hosted.append(([], []))
-            self._partners.append(set())
-        self._n_units = u + 1
-        self._journal.append(("unit", u))
-        return u
-
-    def _drop_unit_idx(self, u: int) -> None:
-        entry = self._journal.pop() if self._journal else None
-        if entry != ("unit", u):
-            raise RuntimeError(f"undo journal mismatch: expected unit creation of {u}, got {entry}")
-        if u != self._n_units - 1 or any(self._hosted[u]) or self._partners[u]:
-            raise RuntimeError(f"unit {u} cannot be dropped: not the last empty unconnected unit")
-        self._n_units = u
-
     def _place_idx(self, e: int, u: int) -> bool:
         """Place e on u with the partner connections it forces; False, with
-        nothing changed, when that would exceed ucap or iucap."""
+        nothing changed, when that would exceed ucap or iucap.  u may be
+        _n_units, a fresh unit, which opens only if the placement succeeds."""
+        if u == len(self._hosted):  # storage for a fresh unit, kept once made
+            self._hosted.append(([], []))
+            self._partners.append(set())
         hosted = self._hosted[u][self._side[e]]
         if len(hosted) >= self.ucap:
             return False
@@ -254,36 +242,39 @@ class PartialModel:
                 return False
             if len(partners[w]) >= self.iucap:
                 return False
+        opened = u == self._n_units
+        if opened:
+            self._n_units = u + 1
         self._elem_unit[e] = u
         hosted.append(e)
         for w in needed:
             partners_u.add(w)
             partners[w].add(u)
-        self._journal.append(("place", e, u, tuple(needed)))
+        self._journal.append((e, u, tuple(needed), opened))
         return True
 
     def _unplace_idx(self, e: int, u: int) -> None:
         entry = self._journal.pop() if self._journal else None
-        if entry is None or entry[0] != "place" or entry[1] != e or entry[2] != u:
+        if entry is None or entry[0] != e or entry[1] != u:
             raise RuntimeError(f"undo journal mismatch: expected placement of {e} on {u}, got {entry}")
         hosted = self._hosted[u][self._side[e]]
         if not hosted or hosted[-1] != e:
             raise RuntimeError(f"undo journal mismatch: {e} is not the newest of its side on unit {u}")
         hosted.pop()
         self._elem_unit[e] = -1
-        for w in entry[3]:
+        for w in entry[2]:
             self._partners[u].discard(w)
             self._partners[w].discard(u)
+        if entry[3]:  # this placement opened u: close it
+            if u != self._n_units - 1 or any(self._hosted[u]) or self._partners[u]:
+                raise RuntimeError(f"unit {u} cannot be closed: not the last empty unconnected unit")
+            self._n_units = u
 
     def _undo_to(self, mark: int) -> None:
         """Undo journal entries, newest first, until the journal has mark entries."""
         journal = self._journal
         while len(journal) > mark:
-            entry = journal[-1]
-            if entry[0] == "unit":
-                self._drop_unit_idx(entry[1])
-            else:
-                self._unplace_idx(entry[1], entry[2])
+            self._unplace_idx(*journal[-1][:2])
 
     # -- read-outs --
 
@@ -393,15 +384,17 @@ def _assign(
     """Depth-first search of order[i:] as one loop; m's journal is its stack.
 
     Backtracking to a position unplaces its element and resumes at the next
-    existing unit or, when the unit was created for it, drops the unit and
-    resumes at existing unit 0.  A twin tries only the units its previous
-    twin has not yet failed on (see the module docstring).
+    existing unit or, when that placement opened the unit, at existing unit
+    0: undoing the placement that opened a unit closes it.  A twin tries only
+    the units its previous twin has not yet failed on (see the module docstring).
     """
     start = i
     prev = _prev_twins(m._twin, order, start)
     # per placed position: the unit count before it was placed; the position
-    # created its unit exactly when that unit's index equals this count
+    # opened its unit exactly when that unit's index equals this count
     before = [0] * len(order)
+    # per position: it tries the existing units below top[i], set on entry
+    top = [0] * len(order)
     unit_of = m._elem_unit
     cuts: list[bool] = []  # filled on first use: a search that never needs it pays nothing
     while True:
@@ -410,27 +403,21 @@ def _assign(
             return Ternary.TRUE
         if stats.nodes > node_limit or time.monotonic() > deadline:
             return Ternary.TIMEOUT
-        before[i] = m._n_units
+        before[i] = top[i] = m._n_units
         j = prev[i]
         if j < 0 or unit_of[order[j]] == before[j]:
             # one fresh unit first: fresh units are interchangeable, so a
             # single representative preserves completeness
-            if m._n_units < max_units:
-                u = m._new_unit_idx()
-                if m._place_idx(order[i], u):
-                    i += 1
-                    continue
-                m._drop_unit_idx(u)
+            if m._n_units < max_units and m._place_idx(order[i], m._n_units):
+                i += 1
+                continue
             u = 0
         else:
-            u = unit_of[order[j]]  # the twin rule's lowest unit
+            # the twin rule: from the twin's unit, and no unit created after the twin
+            u, top[i] = unit_of[order[j]], before[j]
         # then the existing units in creation order, backtracking when none fits
         while True:
-            e = order[i]
-            hi = m._n_units
-            j = prev[i]
-            if j >= 0 and unit_of[order[j]] != before[j]:
-                hi = before[j]  # the twin rule: no unit created after the twin
+            e, hi = order[i], top[i]
             while u < hi and not m._place_idx(e, u):
                 u += 1
             if u < hi:
@@ -442,15 +429,14 @@ def _assign(
             u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
             if u == before[i]:
-                m._drop_unit_idx(u)
-                # its fresh-unit subtree is exhausted: the component cut
-                # (see the module docstring)
+                # it opened u, now closed, and its fresh-unit subtree is
+                # exhausted: the component cut (see the module docstring)
                 if max_units - m._n_units >= len(order) - i:
                     cuts = cuts or _cut_positions(m._nbr, order)
                     if cuts[i]:
                         stats.refuted_from = m.inst.elements[order[i]]
                         return Ternary.FALSE
-                # it created u, so its twin rule did not apply: next is unit 0
+                # it opened u, so its twin rule did not apply: next is unit 0
                 u = 0
             else:
                 u += 1

@@ -1,6 +1,7 @@
 """Core types, file formats and derived views."""
 
 import random
+import re
 
 import pytest
 
@@ -350,3 +351,20 @@ def test_dot_outputs_mention_everything():
     g = make_rail_solution()
     sdot = solution_to_dot(g)
     assert '"u1" -- "u2"' in sdot or '"u2" -- "u1"' in sdot
+
+
+# a DOT quoted string: any characters but '"' and '\', or a backslash escape
+_DOT_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids():
+    # the token rule allows '"' and '\' in ids
+    inst = Instance(('a"b',), ("s\\",), (('a"b', "s\\"),), 1, 1)
+    dot = instance_to_dot(inst)
+    assert '  "a\\"b" [shape=box];' in dot.splitlines()
+    assert '  "s\\\\" [shape=ellipse];' in dot.splitlines()
+    sdot = solution_to_dot(solve(inst).solution)
+    assert '  "u1" [label="u1\\na\\"b\\ns\\\\"];' in sdot.splitlines()
+    for line in (dot + sdot).splitlines():
+        # outside its quoted strings a line holds no quote or backslash
+        assert not {'"', "\\"} & set(_DOT_QUOTED.sub("", line)), line

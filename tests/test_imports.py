@@ -1,6 +1,6 @@
 """Import hygiene: every absolute import in the package names a
 standard-library module, every imported name is used, and every
-module-level private definition is read."""
+module-level private definition and private method is read."""
 
 import ast
 import sys
@@ -60,11 +60,15 @@ def test_every_import_is_read_or_exported():
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level ``_private`` functions, classes and constants (not dunders)."""
+    """Module-level ``_private`` functions, classes and constants, and the
+    ``_private`` methods defined in module-level class bodies (not dunders)."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(m.name for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))

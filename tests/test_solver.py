@@ -133,55 +133,50 @@ def test_bfs_random_orders_are_permutations():
 # ===== partial model and the undo journal =====
 #
 # The model is driven through the journaled steps the search takes:
-# elements by stable index (inst.index), units by creation index from 0.
+# elements by stable index (inst.index), units by creation index from 0; a
+# placement on unit m._n_units opens a fresh unit.
 
 
 def test_assign_and_connect_same_unit_no_connection():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    assert m._place_idx(inst.index["i1"], u1)
-    assert m._place_idx(inst.index["s1"], u1)
-    assert m._partners[u1] == set()
-    assert m._elem_unit[inst.index["s1"]] == u1
+    assert m._place_idx(inst.index["i1"], m._n_units)
+    assert m._place_idx(inst.index["s1"], 0)
+    assert m._partners[0] == set()
+    assert m._elem_unit[inst.index["s1"]] == 0
 
 
 def test_assign_and_connect_creates_forced_partnership():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 1, 1)
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    u2 = m._new_unit_idx()
-    assert m._place_idx(inst.index["i1"], u1)
-    assert m._place_idx(inst.index["s1"], u2)
-    assert m._partners[u1] == {u2}
-    assert m._partners[u2] == {u1}
+    assert m._place_idx(inst.index["i1"], m._n_units)
+    assert m._place_idx(inst.index["s1"], m._n_units)
+    assert m._partners[0] == {1}
+    assert m._partners[1] == {0}
 
 
 def test_assign_and_connect_rejects_two_new_connections_at_iucap_1():
     inst = Instance(("i1",), ("s1", "s2"), (("i1", "s1"), ("i1", "s2")), 2, 1)
     i1, s1, s2 = (inst.index[e] for e in ("i1", "s1", "s2"))
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    u2 = m._new_unit_idx()
-    assert m._place_idx(s1, u1)
-    assert m._place_idx(s2, u2)
-    before = m.snapshot()
-    u3 = m._new_unit_idx()
-    # i1 on a third unit would need connections to both u1 and u2
-    assert not m._place_idx(i1, u3)
-    m._drop_unit_idx(u3)
+    assert m._place_idx(s1, m._n_units)
+    assert m._place_idx(s2, m._n_units)
+    before, journal = m.snapshot(), list(m._journal)
+    # i1 on a third unit would need connections to both units: the refused
+    # placement opens no unit
+    assert not m._place_idx(i1, m._n_units)
     assert m.snapshot() == before
+    assert m._n_units == 2 and m._journal == journal
     # placing i1 with one of its neighbors only needs the one connection
-    assert m._place_idx(i1, u1)
-    assert m._partners[u1] == {u2}
+    assert m._place_idx(i1, 0)
+    assert m._partners[0] == {1}
 
 
 def test_assign_and_connect_respects_side_capacity():
     inst = Instance(("i1", "i2"), (), (), 1, 0)
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    assert m._place_idx(inst.index["i1"], u1)
-    assert not m._place_idx(inst.index["i2"], u1)
+    assert m._place_idx(inst.index["i1"], m._n_units)
+    assert not m._place_idx(inst.index["i2"], 0)
 
 
 def test_assign_and_connect_rejects_partner_on_full_neighbor_unit():
@@ -190,40 +185,43 @@ def test_assign_and_connect_rejects_partner_on_full_neighbor_unit():
         (("i1", "s1"), ("i2", "s2")), 1, 1
     )
     m = PartialModel(inst)
-    u1, u2, u3 = (m._new_unit_idx() for _ in range(3))
-    assert m._place_idx(inst.index["i1"], u1)
-    assert m._place_idx(inst.index["s1"], u2)  # u1-u2 partnered, both at iucap
-    assert m._place_idx(inst.index["i2"], u3)
+    assert m._place_idx(inst.index["i1"], m._n_units)
+    assert m._place_idx(inst.index["s1"], m._n_units)  # u1-u2 partnered, both at iucap
+    assert m._place_idx(inst.index["i2"], m._n_units)
     # s2 on u1 would force u3-u1, but u1 already has its single partner
-    assert not m._place_idx(inst.index["s2"], u1)
+    assert not m._place_idx(inst.index["s2"], 0)
 
 
 def test_undo_restores_snapshot_exactly():
     inst = rail_instance()
     i1, s1, s2 = (inst.index[e] for e in ("I1", "S1", "S2"))
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    assert m._place_idx(i1, u1)
+    assert m._place_idx(i1, m._n_units)
     snap = m.snapshot()
-    u2 = m._new_unit_idx()
-    assert m._place_idx(s1, u2)
-    assert m._place_idx(s2, u2)
-    m._unplace_idx(s2, u2)
-    m._unplace_idx(s1, u2)
-    m._drop_unit_idx(u2)
+    assert m._place_idx(s1, m._n_units)
+    assert m._place_idx(s2, 1)
+    m._unplace_idx(s2, 1)
+    m._unplace_idx(s1, 1)  # s1 opened unit 1: undoing it closes the unit
+    assert m._n_units == 1
     assert m.snapshot() == snap
     m.check_counters()
 
 
 def test_undo_journal_mismatch_is_fatal():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
+    i1, s1 = inst.index["i1"], inst.index["s1"]
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    m._place_idx(inst.index["i1"], u1)
+    assert m._place_idx(i1, m._n_units)
     with pytest.raises(RuntimeError):
-        m._unplace_idx(inst.index["s1"], u1)
-    with pytest.raises(RuntimeError):
-        m._drop_unit_idx(u1)
+        m._unplace_idx(s1, 0)
+    # undoing the placement that opened a unit closes it only when the unit
+    # is then empty: here s1 is still on it, its entry taken off by hand
+    m = PartialModel(inst)
+    assert m._place_idx(i1, m._n_units)
+    assert m._place_idx(s1, 0)
+    m._journal.pop()
+    with pytest.raises(RuntimeError, match="cannot be closed"):
+        m._unplace_idx(i1, 0)
 
 
 def test_randomized_place_undo_round_trips():
@@ -234,32 +232,19 @@ def test_randomized_place_undo_round_trips():
         stack = []
         snaps = [m.snapshot()]
         for e in range(len(inst.elements)):
-            if m._n_units < m.max_units and rng.random() < 0.5:
-                u = m._new_unit_idx()
-                stack.append(("unit", u))
-                snaps.append(m.snapshot())
-            placed = False
-            for u in range(m._n_units):
+            # a fresh unit half the time, else the existing units in order
+            # and a fresh one when none takes e; e stays unplaced if refused
+            fresh = [m._n_units] if m._n_units < m.max_units else []
+            candidates = fresh if rng.random() < 0.5 else [*range(m._n_units), *fresh]
+            for u in candidates:
                 if m._place_idx(e, u):
-                    stack.append(("place", e, u))
+                    stack.append((e, u))
                     snaps.append(m.snapshot())
-                    placed = True
                     break
-            if not placed and m._n_units < m.max_units:
-                u = m._new_unit_idx()
-                stack.append(("unit", u))
-                snaps.append(m.snapshot())
-                if m._place_idx(e, u):
-                    stack.append(("place", e, u))
-                    snaps.append(m.snapshot())
         m.check_counters()
         while stack:
-            action = stack.pop()
+            m._unplace_idx(*stack.pop())
             snaps.pop()
-            if action[0] == "place":
-                m._unplace_idx(action[1], action[2])
-            else:
-                m._drop_unit_idx(action[1])
             assert m.snapshot() == snaps[-1]
         assert m._n_units == 0
 
@@ -269,24 +254,18 @@ def test_randomized_place_undo_round_trips():
 
 def _record_attempts(m: PartialModel) -> list:
     """Record each placement the search tries on m as (element, unit, kind),
-    kind "fresh" for the unit created just before the attempt, else
-    "existing", by wrapping m's _new_unit_idx and _place_idx.  Units are
-    labelled by creation index: "u1" for unit 0."""
+    kind "fresh" for a placement on unit m._n_units, which would open it,
+    else "existing", by wrapping m's _place_idx.  Units are labelled by
+    creation index: "u1" for unit 0."""
     attempts = []
-    created = [-1]
-    new_unit_idx, place_idx = m._new_unit_idx, m._place_idx
-
-    def create():
-        created[0] = new_unit_idx()
-        return created[0]
+    place_idx = m._place_idx
 
     def place(e, u):
-        kind = "fresh" if u == created[0] else "existing"
-        created[0] = -1
+        kind = "fresh" if u == m._n_units else "existing"
         attempts.append((m.inst.elements[e], f"u{u + 1}", kind))
         return place_idx(e, u)
 
-    m._new_unit_idx, m._place_idx = create, place
+    m._place_idx = place
     return attempts
 
 
@@ -357,10 +336,8 @@ def test_assign_trace_existing_units_in_creation_order():
 def test_minimize_merges_two_mergeable_units():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
     m = PartialModel(inst)
-    u1 = m._new_unit_idx()
-    u2 = m._new_unit_idx()
-    assert m._place_idx(inst.index["i1"], u1)
-    assert m._place_idx(inst.index["s1"], u2)
+    assert m._place_idx(inst.index["i1"], m._n_units)
+    assert m._place_idx(inst.index["s1"], m._n_units)
     assert m.unit_count == 2
     minimize(m)
     assert m.unit_count == 1
@@ -417,7 +394,7 @@ def test_minimize_merges_partnered_pair_and_keeps_third_partner():
     # u1 {i1}, u2 {s1}, u3 {i2, i3} full; s1 partners both u1 and u3
     inst = Instance(("i1", "i2", "i3"), ("s1",), (("i1", "s1"), ("i2", "s1")), 2, 2)
     m = PartialModel(inst)
-    u1, u2, u3 = (m._new_unit_idx() for _ in range(3))
+    u1, u2, u3 = 0, 1, 2
     for e, u in (("i1", u1), ("s1", u2), ("i2", u3), ("i3", u3)):
         assert m._place_idx(inst.index[e], u)
     assert m._partners[u2] == {u1, u3}
@@ -433,7 +410,7 @@ def test_minimize_merges_pair_sharing_a_partner():
     inst = Instance(("i1", "i2", "i3", "i4"), ("s1", "s2"),
                     (("i1", "s1"), ("i2", "s1")), 2, 2)
     m = PartialModel(inst)
-    u1, u2, u3 = (m._new_unit_idx() for _ in range(3))
+    u1, u2, u3 = 0, 1, 2
     for e, u in (("i1", u1), ("i2", u2), ("i3", u3), ("i4", u3), ("s1", u3), ("s2", u3)):
         assert m._place_idx(inst.index[e], u)
     assert m._partners[u3] == {u1, u2}
@@ -463,7 +440,7 @@ def test_check_counters_holds_after_assign_and_minimize():
 
 
 def test_check_counters_rejects_broken_partner_sets():
-    inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 1, 1)
+    inst = Instance(("i1",), ("s1", "s2"), (("i1", "s1"),), 1, 1)
     corruptions = {
         "asymmetric": lambda m: m._partners[1].discard(0),
         "its own partner": lambda m: m._partners[0].add(0),
@@ -475,8 +452,8 @@ def test_check_counters_rejects_broken_partner_sets():
     }
     for message, corrupt in corruptions.items():
         m = PartialModel(inst, max_units=3)
-        u1, u2, _ = (m._new_unit_idx() for _ in range(3))
-        assert m._place_idx(inst.index["i1"], u1) and m._place_idx(inst.index["s1"], u2)
+        for e in ("i1", "s1", "s2"):  # one unit each
+            assert m._place_idx(inst.index[e], m._n_units)
         m.check_counters()
         corrupt(m)
         with pytest.raises(RuntimeError, match=message):
@@ -524,7 +501,7 @@ def test_minimize_merges_a_unit_created_before_a():
     # first, which frees u1 of partners so that u2 can then take u1
     inst = Instance(("i0", "i1"), ("s0", "s1"), (("i0", "s0"), ("i1", "s1")), 2, 1)
     m = PartialModel(inst)
-    u1, u2, u3, u4 = (m._new_unit_idx() for _ in range(4))
+    u1, u2, u3, u4 = 0, 1, 2, 3
     for e, u in (("i0", u1), ("s1", u2), ("i1", u3), ("s0", u4)):
         assert m._place_idx(inst.index[e], u)
     assert _minimize_matches_reference(m)
@@ -566,26 +543,22 @@ def test_minimize_matches_reference_on_seed_1729_sweep(monkeypatch):
 @st.composite
 def hand_built_models(draw):
     """Each element, in a drawn order, goes on a fresh unit (four times in
-    five) or a drawn existing one, and is left unplaced when refused; empty
-    units are created along the way.  Mostly fresh units give many small
-    partnered units, where merges that only the partner test tells apart
-    and merges of a B created before its A both occur."""
+    five) or a drawn existing one, and is left unplaced when refused; every
+    unit hosts an element, as after a search.  Mostly fresh units give many
+    small partnered units, where merges that only the partner test tells
+    apart and merges of a B created before its A both occur."""
     ind = tuple(f"i{k}" for k in range(draw(st.integers(1, 6))))
     sen = tuple(f"s{k}" for k in range(draw(st.integers(0, 6))))
     pairs = [(i, s) for i in ind for s in sen]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     inst = Instance(ind, sen, tuple(p for p, k in zip(pairs, keep) if k),
                     draw(st.integers(1, 3)), draw(st.integers(0, 3)))
-    m = PartialModel(inst, max_units=2 * len(inst.elements))
-    units: list[int] = []
+    m = PartialModel(inst)
     for e in draw(st.permutations(range(len(inst.elements)))):
-        if draw(st.integers(0, 4)) == 0:
-            units.append(m._new_unit_idx())
-        if not units or draw(st.integers(0, 4)) > 0:
-            units.append(m._new_unit_idx())
-            u = units[-1]
+        if not m._n_units or draw(st.integers(0, 4)) > 0:
+            u = m._n_units
         else:
-            u = draw(st.sampled_from(units))
+            u = draw(st.integers(0, m._n_units - 1))
         m._place_idx(e, u)
     return m
 
@@ -603,7 +576,7 @@ def test_minimize_scales_on_20001_element_ladder():
     inst = ladder_instance(2, 2, 2, 10_000)
     m = PartialModel(inst)
     for e in _component_order(m._nbr, 0):
-        assert m._place_idx(e, m._new_unit_idx())
+        assert m._place_idx(e, m._n_units)
     t0 = time.perf_counter()
     minimize(m)
     elapsed = time.perf_counter() - t0
@@ -998,7 +971,7 @@ def _reference_assign(
     # one fresh unit first: fresh units are interchangeable, so a single
     # representative preserves completeness
     if hi is None and m._n_units < max_units:
-        u = m._new_unit_idx()
+        u = m._n_units
         if trace is not None:
             trace.append((m.inst.elements[e], f"u{u + 1}", "fresh"))
         if m._place_idx(e, u):
@@ -1007,7 +980,6 @@ def _reference_assign(
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
-        m._drop_unit_idx(u)
         # component cut, once the fresh-unit subtree is exhausted; ``cuts``
         # starts empty and is filled on first use, so a search that never
         # gets here pays nothing for it
@@ -1055,7 +1027,7 @@ def _assign_matches_reference(
     def prefix_model() -> PartialModel:
         m = PartialModel(inst, max_units)
         for e in order[:first]:
-            assert m._place_idx(e, m._new_unit_idx())
+            assert m._place_idx(e, m._n_units)
         return m
 
     m, stats = prefix_model(), SearchStats()
