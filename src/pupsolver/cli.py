@@ -95,8 +95,9 @@ def cmd_solve(args) -> int:
             return EXIT_ERROR
         return EXIT_SAT
     if result.outcome is Outcome.UNSATISFIABLE:
-        scope = "within unit budget" if result.stats.budget_limited else "for any unit count"
-        print(f"unsatisfiable ({scope})", file=sys.stderr)
+        # a degree-precheck refutation holds whatever the unit budget
+        any_count = result.stats.precheck == "degree" or not result.stats.budget_limited
+        print("unsatisfiable", "(for any unit count)" if any_count else "(within unit budget)", file=sys.stderr)
         return EXIT_UNSAT
     print("timeout", file=sys.stderr)
     return EXIT_TIMEOUT
@@ -251,6 +252,10 @@ def cmd_bench(args) -> int:
             elif result.outcome is Outcome.UNSATISFIABLE:
                 rec["note"] = "MISMATCH: expected satisfiable"
                 any_bad = True
+        # a SAT answer the verifier rejects: this note outranks a wrong verdict
+        if result.solution is not None and (violations := verify_solution(inst, result.solution)):
+            rec["note"] = f"VIOLATION: {len(violations)}"
+            any_bad = True
         records.append(rec)
 
     print("  ".join(label.ljust(w) for label, _, w in _BENCH_COLUMNS) + "  note")

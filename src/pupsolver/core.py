@@ -185,14 +185,19 @@ class SolutionGraph:
 
     @cached_property
     def canonical_partners(self) -> tuple[tuple[str, str], ...]:
-        """Each partnership once, ordered and sorted by unit declaration index."""
-        pos = self.unit_index
-
-        def key(u: str):
-            return (pos.get(u, len(self.units)), u)
-
-        pairs = {tuple(sorted(p, key=key)) for p in self.partners}
-        return tuple(sorted(pairs, key=lambda p: (key(p[0]), key(p[1]))))
+        """Each partnership once, ordered and sorted by unit rank: declaration
+        index, then the units that only partner pairs name, by name."""
+        names = self.units
+        rank = self.unit_index
+        undeclared = set().union(*self.partners).difference(rank)
+        if undeclared:
+            names += tuple(sorted(undeclared))
+            rank = {u: k for k, u in enumerate(names)}
+        pairs: set[tuple[int, int]] = set()
+        for a, b in self.partners:
+            x, y = rank[a], rank[b]
+            pairs.add((x, y) if x < y else (y, x))
+        return tuple((names[x], names[y]) for x, y in sorted(pairs))
 
     def connected(self, u: str, v: str) -> bool:
         """True when u and v are the same unit or partners (either direction)."""

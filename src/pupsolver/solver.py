@@ -491,12 +491,14 @@ def minimize(m: PartialModel) -> PartialModel:
     The model only changes at a merge, so for each A it is enough to find
     the lowest-index live B after the one last merged into it (from the
     first unit for a new A, so B may precede A).  Empty units take no part,
-    and each merge adds an element to A, so A needs at most 2 * ucap lookups.
+    and each merge adds an element to A, so A needs at most 2 * ucap lookups;
+    once A is full on both sides no live unit fits and its lookups end.
     A unit B passes the partner test in one of two ways:
 
     - B is within two partner hops of A (a partner of A, or sharing a
       partner with it).  There are at most iucap**2 such units; each is
-      tested directly.
+      tested directly, by counting: |P[A] | P[B] - {A, B}| is
+      |P[A]| + |P[B]| - |P[A] & P[B]|, less 2 when A and B are partners.
     - |P[A]| + |P[B]| <= iucap.  This suffices for any B, and it is exact
       for every other B, whose partner set is disjoint from A's and does
       not hold A.  Live units are kept in buckets keyed by (indicator
@@ -506,7 +508,7 @@ def minimize(m: PartialModel) -> PartialModel:
       stale entries are dropped when a lookup meets them.
     """
     ucap, iucap = m.ucap, m.iucap
-    hosted, partners = m._hosted, m._partners
+    hosted, partners, unit_of = m._hosted, m._partners, m._elem_unit
     n = m._n_units
     # key_of[u] is live unit u's current key, None for an empty unit; a
     # bucket entry u is stale once key_of[u] differs from the bucket's key
@@ -519,39 +521,57 @@ def minimize(m: PartialModel) -> PartialModel:
     for a in range(n):
         if key_of[a] is None:
             continue
+        pa = partners[a]
         b = -1
         while True:
             # b becomes the lowest live unit after the last one merged into
             # a that passes all three tests, or n when there is none
             start, b = b, n
             room_i, room_s = ucap - key_of[a][0], ucap - key_of[a][1]
-            pa = partners[a]
+            if not room_i and not room_s:
+                break
             room_p = iucap - len(pa)
-            # any b whose key fits beside a passes: |P[a]| + |P[b]| <= iucap
-            for key, bucket in buckets.items():
-                if key[0] > room_i or key[1] > room_s or key[2] > room_p:
-                    continue
-                i = bisect_right(bucket, start)
-                while i < len(bucket):
-                    u = bucket[i]
-                    if key_of[u] != key:
-                        del bucket[i]
-                    elif u == a:
-                        i += 1
-                    else:
-                        if u < b:
-                            b = u
-                        break
-            # units within two partner hops of a, tested directly
+            # units within two partner hops of a, tested directly: each
+            # partner w of a and each partner of w, whose entry for a stands for w
             for w in pa:
-                for c in (w, *partners[w]):
-                    if (start < c < b and c != a and key_of[c][0] <= room_i
-                            and key_of[c][1] <= room_s and len((pa | partners[c]) - {a, c}) <= iucap):
-                        b = c
+                for c in partners[w]:
+                    if c == a:
+                        c = w
+                    if start < c < b and key_of[c][0] <= room_i and key_of[c][1] <= room_s:
+                        pc = partners[c]
+                        if len(pa) + len(pc) - len(pa & pc) - 2 * (c in pa) <= iucap:
+                            b = c
+            # any b whose key fits beside a passes; read only if a unit besides a lies in (start, b)
+            if b - start - 1 > (start < a < b):
+                for key, bucket in buckets.items():
+                    if key[0] > room_i or key[1] > room_s or key[2] > room_p:
+                        continue
+                    i = bisect_right(bucket, start)
+                    while i < len(bucket):
+                        u = bucket[i]
+                        if key_of[u] != key:
+                            del bucket[i]
+                        elif u == a:
+                            i += 1
+                        else:
+                            if u < b:
+                                b = u
+                            break
             if b == n:
                 break
-            shared = pa & partners[b]
-            _merge_units(m, a, b, (pa | partners[b]) - {a, b})
+            pb = partners[b]
+            shared = pa & pb
+            for mine, theirs in zip(hosted[a], hosted[b]):
+                for e in theirs:
+                    unit_of[e] = a
+                mine.extend(theirs)
+                theirs.clear()
+            for w in pb - {a}:  # b's partners now partner a
+                partners[w].discard(b)
+                partners[w].add(a)
+            pa |= pb
+            pa.difference_update((a, b))
+            pb.clear()
             key_of[b] = None
             for u in (a, *shared):
                 key_of[u] = key = (len(hosted[u][0]), len(hosted[u][1]), len(partners[u]))
@@ -561,22 +581,6 @@ def minimize(m: PartialModel) -> PartialModel:
                     bucket.insert(i, u)
     m._journal.clear()
     return m
-
-
-def _merge_units(m: PartialModel, a: int, b: int, merged: set[int]) -> None:
-    for mine, theirs in zip(m._hosted[a], m._hosted[b]):
-        for e in theirs:
-            m._elem_unit[e] = a
-        mine.extend(theirs)
-        theirs.clear()
-    # rewire: every partner of b other than a now partners a instead; a's
-    # own partners other than b are already in merged and keep their edge
-    for w in m._partners[b]:
-        if w != a:
-            m._partners[w].discard(b)
-            m._partners[w].add(a)
-    m._partners[a] = merged
-    m._partners[b] = set()
 
 
 # ===== top-level solve =====

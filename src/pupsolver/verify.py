@@ -58,23 +58,20 @@ def verify_solution(inst: Instance, g: SolutionGraph) -> list[Violation]:
                 ViolationKind.UNKNOWN_REFERENCE, (u,),
                 f"element {e!r} assigned to undeclared unit {u!r}",
             ))
-    for e in inst.elements:
-        if e not in g.assignment:
-            out.append(Violation(
-                ViolationKind.UNASSIGNED_ELEMENT, (e,),
-                f"element {e!r} has no unit",
-            ))
-
-    ind_count: dict[str, int] = {u: 0 for u in g.units}
-    sen_count: dict[str, int] = {u: 0 for u in g.units}
-    for e in inst.elements:
-        u = g.assignment.get(e)
-        if u is None or u not in known_units:
-            continue
-        if e in inst.indicator_set:
-            ind_count[u] += 1
-        else:
-            sen_count[u] += 1
+    # one pass, indicators then sensors: unassigned elements, per-unit counts
+    ind_count: dict[str, int] = dict.fromkeys(g.units, 0)
+    sen_count: dict[str, int] = dict.fromkeys(g.units, 0)
+    assigned = g.assignment.get
+    for side, count in ((inst.indicators, ind_count), (inst.sensors, sen_count)):
+        for e in side:
+            u = assigned(e)
+            if u is None:
+                out.append(Violation(
+                    ViolationKind.UNASSIGNED_ELEMENT, (e,),
+                    f"element {e!r} has no unit",
+                ))
+            elif u in count:
+                count[u] += 1
     for u in g.units:
         if ind_count[u] > inst.ucap:
             out.append(Violation(
@@ -87,7 +84,18 @@ def verify_solution(inst: Instance, g: SolutionGraph) -> list[Violation]:
                 f"unit {u!r} hosts {sen_count[u]} sensors, ucap is {inst.ucap}",
             ))
 
-    for a, b in sorted(g.partners):
+    # one pass over the pairs: degrees in the symmetric closure, and the broken pairs
+    partners = g.partners
+    degree = dict.fromkeys(g.units, 0)
+    broken = []
+    for a, b in partners:
+        mirrored = (b, a) in partners
+        degree[a] = degree.get(a, 0) + 1
+        if not mirrored:
+            degree[b] = degree.get(b, 0) + 1
+        if not mirrored or a not in known_units or b not in known_units:
+            broken.append((a, b))
+    for a, b in sorted(broken):
         if a not in known_units:
             out.append(Violation(
                 ViolationKind.UNKNOWN_REFERENCE, (a,),
@@ -98,25 +106,23 @@ def verify_solution(inst: Instance, g: SolutionGraph) -> list[Violation]:
                 ViolationKind.UNKNOWN_REFERENCE, (b,),
                 f"partner pair ({a!r}, {b!r}) references undeclared unit {b!r}",
             ))
-        if (b, a) not in g.partners:
+        if (b, a) not in partners:
             out.append(Violation(
                 ViolationKind.ASYMMETRIC_PARTNER, (a, b),
                 f"partner pair ({a!r}, {b!r}) lacks its mirror ({b!r}, {a!r})",
             ))
     for u in g.units:
-        degree = len(g.partner_adjacency.get(u, ()))
-        if degree > inst.iucap:
+        if degree[u] > inst.iucap:
             out.append(Violation(
                 ViolationKind.PARTNER_CAPACITY, (u,),
-                f"unit {u!r} has {degree} partners, iucap is {inst.iucap}",
+                f"unit {u!r} has {degree[u]} partners, iucap is {inst.iucap}",
             ))
 
     for i, s in inst.edges:
-        ui = g.assignment.get(i)
-        us = g.assignment.get(s)
+        ui, us = assigned(i), assigned(s)
         if ui is None or us is None:
             continue  # already reported as UnassignedElement
-        if g.connected(ui, us):
+        if ui == us or (ui, us) in partners or (us, ui) in partners:
             continue
         out.append(Violation(
             ViolationKind.MISSING_CONNECTION, (i, s),

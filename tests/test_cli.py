@@ -101,6 +101,21 @@ def test_solve_unsatisfiable_within_budget(tmp_path, capsys):
     assert "unsatisfiable (within unit budget)" in captured.err
 
 
+def test_solve_degree_refutation_holds_for_any_unit_count(tmp_path, capsys):
+    """The degree precheck refutes every unit count, so a unit budget does
+    not narrow its answer."""
+    from pupsolver import Instance
+
+    inst = Instance(("i1",), ("s1", "s2"), (("i1", "s1"), ("i1", "s2")), 1, 0)
+    p = tmp_path / "fan.pup"
+    p.write_text(emit_instance(inst), encoding="utf-8")
+    rc = main(["solve", "--instance", str(p), "--max-units", "2", "--stats"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_UNSAT
+    assert "precheck degree" in captured.err
+    assert "unsatisfiable (for any unit count)" in captured.err
+
+
 def test_solve_timeout(tmp_path, capsys):
     # three items of 2 in two bins of 3: still open after 25.8M nodes, so
     # no machine proves it within the 150 ms budget
@@ -373,6 +388,26 @@ def test_bench_mismatch_exits_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "MISMATCH" in captured.out
+
+
+def test_bench_checks_sat_answers(tmp_path, capsys, monkeypatch):
+    """A satisfiable answer that the verifier rejects fails its row."""
+    from pupsolver import Outcome, SearchStats, SolutionGraph, SolveOutcome, cli
+
+    def broken(inst, cfg):  # one unit, and no element assigned to it
+        return SolveOutcome(Outcome.SATISFIABLE, SolutionGraph(("u1",), {}, frozenset()), SearchStats())
+
+    manifest = write_bench_tree(tmp_path)
+    manifest.write_text("rail.pup 2 2 3\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "solve", broken)
+    records = tmp_path / "records.jsonl"
+    rc = main(["bench", "--manifest", str(manifest), "--records", str(records)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    unassigned = len(rail_instance().elements)
+    assert captured.out.splitlines()[1].endswith(f"  VIOLATION: {unassigned}")
+    (row,) = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    assert (row["outcome"], row["units"], row["note"]) == ("satisfiable", 0, f"VIOLATION: {unassigned}")
 
 
 def test_bench_missing_instance_noted(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pupsolver import (
     Instance,
@@ -220,6 +221,44 @@ def test_partner_lines_canonical_and_single():
     text = emit_solution(g)
     assert text.count("partner") == 3
     assert "partner u1 u2" in text and "partner u2 u1" not in text
+
+
+def _reference_canonical_partners(g: SolutionGraph) -> tuple[tuple[str, str], ...]:
+    """The key-function order that the rank order replaced, kept as its oracle."""
+    pos = g.unit_index
+
+    def key(u: str):
+        return (pos.get(u, len(g.units)), u)
+
+    pairs = {tuple(sorted(p, key=key)) for p in g.partners}
+    return tuple(sorted(pairs, key=lambda p: (key(p[0]), key(p[1]))))
+
+
+@st.composite
+def partner_graphs(draw):
+    """Declared units in a drawn order, so that name order and declaration
+    order differ (u10 before u9), most of them hosting an element, and
+    partner pairs in one or both orientations, some naming undeclared units."""
+    units = draw(st.permutations([f"u{k}" for k in range(1, 13)]))[: draw(st.integers(0, 12))]
+    names = list(units) + ["u0", "u99", "v1", "w10", "w9"]  # the last five are never declared
+    assignment = {f"e{k}": u for k, u in enumerate(units) if draw(st.integers(0, 4))}
+    partners = set()
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=30)):
+        if a != b:
+            partners.add((a, b))
+            if draw(st.booleans()):
+                partners.add((b, a))
+    return SolutionGraph(tuple(units), assignment, frozenset(partners))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(partner_graphs())
+def test_partner_order_matches_reference(g):
+    expected = _reference_canonical_partners(g)
+    assert g.canonical_partners == expected
+    ref = SolutionGraph(g.units, g.assignment, g.partners)
+    ref.__dict__["canonical_partners"] = expected  # the cached view emit_solution reads
+    assert emit_solution(g) == emit_solution(ref)
 
 
 @pytest.mark.parametrize(

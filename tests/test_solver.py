@@ -32,7 +32,7 @@ from pupsolver import (
 from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
-from pupsolver.solver import _assign, _component_order, _cut_positions, _merge_units
+from pupsolver.solver import _assign, _component_order, _cut_positions
 
 from datagen import (
     all_small_bipartite,
@@ -477,7 +477,15 @@ def _reference_minimize(m: PartialModel) -> PartialModel:
             merged = (partners[a] | partners[b]) - {a, b}
             if len(merged) > iucap:
                 continue
-            _merge_units(m, a, b, merged)
+            for mine, theirs in zip(hosted[a], hosted[b]):
+                for e in theirs:
+                    m._elem_unit[e] = a
+                mine.extend(theirs)
+                theirs.clear()
+            for w in partners[b] - {a}:
+                partners[w].discard(b)
+                partners[w].add(a)
+            partners[a], partners[b] = merged, set()
     return m
 
 
