@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .core import (
@@ -48,8 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+def _load_instance(path: str, caps: tuple[int, int] | None = None) -> tuple[Instance, float]:
+    """The file's instance, with caps as its (ucap, iucap) if given, and the ms from text to Instance."""
+    text = Path(path).read_text(encoding="utf-8")
+    t0 = time.perf_counter()
+    inst = parse_instance(text)
+    if caps is not None:
+        inst = Instance(inst.indicators, inst.sensors, inst.edges, *caps)
+    return inst, round((time.perf_counter() - t0) * 1000, 3)
 
 
 def _fail(message: str) -> int:
@@ -76,7 +83,7 @@ def _write(path: str | None, text: str) -> bool:
 
 def cmd_solve(args) -> int:
     try:
-        inst = _load_instance(args.instance)
+        inst, parse_ms = _load_instance(args.instance)
         cfg = SolveConfig(
             max_time_ms=args.max_time_ms,
             max_units=args.max_units,
@@ -86,7 +93,7 @@ def cmd_solve(args) -> int:
         return _fail(str(exc))
     result = solve(inst, cfg)
     if args.stats:
-        sys.stderr.write(result.stats.as_text())
+        sys.stderr.write(f"parse_ms {parse_ms:.3f}\n" + result.stats.as_text())
     if result.outcome is Outcome.SATISFIABLE:
         if not _write(args.output, emit_solution(result.solution)):
             return EXIT_ERROR
@@ -105,7 +112,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        inst = _load_instance(args.instance)
+        inst, _ = _load_instance(args.instance)
         g = parse_solution(Path(args.solution).read_text(encoding="utf-8"))
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
@@ -121,7 +128,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        inst = _load_instance(args.instance)
+        inst, _ = _load_instance(args.instance)
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
     try:
@@ -165,7 +172,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_lift(args) -> int:
     try:
-        inst = _load_instance(args.instance)
+        inst, _ = _load_instance(args.instance)
         lifted, units = lift_iucap0_to_1(inst, args.units)
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
@@ -224,12 +231,12 @@ def cmd_bench(args) -> int:
             "outcome": None,
             "units": None,
             "delta_units": None,
+            "parse_ms": None,
             **dict.fromkeys(_BENCH_STATS),
             "note": "ok",
         }
         try:
-            base = _load_instance(str((manifest.parent / rel_path)))
-            inst = Instance(base.indicators, base.sensors, base.edges, ucap, iucap)
+            inst, rec["parse_ms"] = _load_instance(str(manifest.parent / rel_path), (ucap, iucap))
         except (OSError, ParseError, ValueError) as exc:
             rec["note"] = f"error: {exc}"
             any_bad = True

@@ -20,9 +20,10 @@ Ids are whitespace-free tokens without ``#`` and must be declared before use.
 Declaration order assigns every element a stable integer index (indicators
 first, then sensors); that index is the tie-break used for all deterministic
 ordering downstream (breadth-first frontiers, entry points, unit creation).
-An ``Instance`` builds the index, and the adjacency by index that the search
-reads, once each: the index while it checks its input, the adjacency on
-first use.
+``parse_instance`` checks the grammar (directives, arities and integer
+values) and that ids are declared before use; ``Instance`` checks the ids and
+edges once, in the pass that builds the index and the adjacency by index that
+the search reads, and the parser reports its errors at their lines.
 
 Solution file grammar::
 
@@ -55,26 +56,18 @@ class ParseError(ValueError):
 def content_lines(text: str):
     """Yield (line number, whitespace-split tokens) of each line of text that
     holds anything besides a ``#`` comment: the reader of every line-based format."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if parts:
+    # one test of the whole text for "#" spares the comment cut on every line of most texts
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()] if "#" in text else text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        if parts := raw.split():
             yield lineno, parts
-
-
-def _check_token(kind: str, tok: str) -> None:
-    # str.split() splits at exactly the characters str.isspace() accepts, so
-    # this rejects the empty token and any token holding whitespace
-    if "#" in tok or tok.split() != [tok]:
-        raise ValueError(f"{kind} id {tok!r} is not a valid token")
 
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable PUP input graph.
-
-    ``edges`` are (indicator, sensor) pairs; both endpoints must be declared,
-    sides must not mix, and duplicates are rejected.
-    """
+    """Immutable PUP input graph, checked once, on construction: ids are unique
+    tokens, and ``edges`` are (indicator, sensor) pairs of declared ids, none
+    repeated.  A failed check raises the ValueError that parse_instance reports."""
 
     indicators: tuple[str, ...]
     sensors: tuple[str, ...]
@@ -82,55 +75,69 @@ class Instance:
     ucap: int
     iucap: int
     # views the checks in __post_init__ build and keep; not part of ==, hash or repr.
-    # elements: all ids in stable-index order; index: each id's stable index
+    # elements: all ids in stable-index order; index: each id's stable index;
+    # adjacency: the neighbours of each element by stable index, ascending
     elements: tuple[str, ...] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     indicator_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    sensor_set: frozenset[str] = field(init=False, repr=False, compare=False)
     edge_set: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indicators", tuple(self.indicators))
         object.__setattr__(self, "sensors", tuple(self.sensors))
-        object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))  # tuple edges stay as they are
         if self.ucap < 1:
             raise ValueError("ucap must be >= 1")
         if self.iucap < 0:
             raise ValueError("iucap must be >= 0")
-        index: dict[str, int] = {}
-        for kind, ids in (("indicator", self.indicators), ("sensor", self.sensors)):
-            for tok in ids:
-                _check_token(kind, tok)
-                if tok in index:
-                    raise ValueError(f"duplicate element id {tok!r}")
-                index[tok] = len(index)
-        ind = frozenset(self.indicators)
-        sen = frozenset(self.sensors)
-        edge_set: set[tuple[str, str]] = set()
-        for a, b in self.edges:
-            if a not in ind:
-                raise ValueError(f"edge endpoint {a!r} is not a declared indicator")
-            if b not in sen:
-                raise ValueError(f"edge endpoint {b!r} is not a declared sensor")
-            if (a, b) in edge_set:
-                raise ValueError(f"duplicate edge ({a!r}, {b!r})")
-            edge_set.add((a, b))
-        object.__setattr__(self, "elements", self.indicators + self.sensors)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "indicator_set", ind)
-        object.__setattr__(self, "sensor_set", sen)
-        object.__setattr__(self, "edge_set", frozenset(edge_set))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each element by stable index, ascending; built on first use."""
-        adj: list[list[int]] = [[] for _ in self.elements]
-        idx = self.index
-        for a, b in self.edges:
-            i, j = idx[a], idx[b]
+        elements, edges = self.indicators + self.sensors, self.edges
+        n, n_ind = len(elements), len(self.indicators)
+        index = dict(zip(elements, range(n)))
+        edge_set = frozenset(edges)
+        # the joined ids split back into the ids only if none is empty or holds whitespace
+        joined = " ".join(elements)
+        if "#" in joined or joined.split() != list(elements) or len(index) != n or len(edge_set) != len(edges):
+            raise ValueError(_first_fault(elements, n_ind, edges)[0])
+        adj: list[list[int]] = [[] for _ in elements]
+        get = index.get
+        for a, b in edges:
+            # an undeclared indicator reads as n and an undeclared sensor as -1
+            i, j = get(a, n), get(b, -1)
+            if not i < n_ind <= j:
+                raise ValueError(_first_fault(elements, n_ind, edges)[0])
             adj[i].append(j)
             adj[j].append(i)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "indicator_set", frozenset(self.indicators))
+        object.__setattr__(self, "edge_set", edge_set)
+        object.__setattr__(self, "adjacency", tuple(map(tuple, map(sorted, adj))))
+
+
+def _first_fault(elements: tuple[str, ...], n_ind: int, edges: tuple) -> tuple[str, tuple[int, ...]]:
+    """The first failed check of an Instance, ids then edges in order, and its
+    positions: element k is k, edge k is len(elements) + k."""
+    first: dict[str, int] = {}
+    for k, tok in enumerate(elements):
+        if "#" in tok or tok.split() != [tok]:
+            return f"{'indicator' if k < n_ind else 'sensor'} id {tok!r} is not a valid token", (k,)
+        if tok in first:
+            return f"duplicate declaration of {tok!r}", (first[tok], k)
+        first[tok] = k
+    seen: set[tuple[str, str]] = set()
+    for k, (a, b) in enumerate(edges, start=len(elements)):
+        for tok in (a, b):
+            if tok not in first:
+                return f"edge references undeclared id {tok!r}", (k,)
+        if first[a] >= n_ind:
+            return f"{a!r} is a sensor, edges run indicator to sensor", (k,)
+        if first[b] < n_ind:
+            return f"{b!r} is a indicator, edges run indicator to sensor", (k,)
+        if (a, b) in seen:
+            return f"duplicate edge {a} {b}", (k,)
+        seen.add((a, b))
+    raise AssertionError("no failed check")
 
 
 @dataclass(frozen=True)
@@ -173,15 +180,6 @@ class SolutionGraph:
         for e, u in self.assignment.items():
             hosted.setdefault(u, []).append(e)
         return {u: tuple(es) for u, es in hosted.items()}
-
-    @cached_property
-    def partner_adjacency(self) -> dict[str, frozenset[str]]:
-        """Symmetric closure of the partner relation as an adjacency map."""
-        adj: dict[str, set[str]] = {}
-        for a, b in self.partners:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return {u: frozenset(vs) for u, vs in adj.items()}
 
     @cached_property
     def canonical_partners(self) -> tuple[tuple[str, str], ...]:
@@ -249,67 +247,62 @@ class SolveConfig:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text; raises ParseError with a line number on bad input."""
-    ucap: int | None = None
-    iucap: int | None = None
-    indicators: list[str] = []
-    sensors: list[str] = []
-    side: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
+    """Parse instance text; raises ParseError with a line number on bad input.
+
+    Of several faults, the first grammar fault is reported, else the first
+    that ``Instance`` finds (a duplicate id at its later declaration), else the
+    first edge that names an id declared below it.
+    """
+    caps: dict[str, int] = {}
+    # the ids of each side and the edges, each with its line, for the faults Instance finds
+    found: dict[str, tuple[list, list[int]]] = {kw: ([], []) for kw in ("indicator", "sensor", "edge")}
+    edges, edge_lines = found["edge"]
 
     for lineno, parts in content_lines(text):
         kw = parts[0]
-        if kw in ("ucap", "iucap"):
+        if kw == "edge":
+            if len(parts) != 3:
+                raise ParseError(lineno, "edge takes an indicator id and a sensor id")
+            edges.append((parts[1], parts[2]))
+            edge_lines.append(lineno)
+        elif kw == "indicator" or kw == "sensor":
+            if len(parts) != 2:
+                raise ParseError(lineno, f"{kw} takes exactly one id")
+            ids, at = found[kw]
+            ids.append(parts[1])
+            at.append(lineno)
+        elif kw == "ucap" or kw == "iucap":
             if len(parts) != 2:
                 raise ParseError(lineno, f"{kw} takes exactly one integer")
             try:
                 val = int(parts[1])
             except ValueError:
                 raise ParseError(lineno, f"{kw} value {parts[1]!r} is not an integer") from None
-            if kw == "ucap":
-                if ucap is not None:
-                    raise ParseError(lineno, "duplicate ucap directive")
-                if val < 1:
-                    raise ParseError(lineno, "ucap must be >= 1")
-                ucap = val
-            else:
-                if iucap is not None:
-                    raise ParseError(lineno, "duplicate iucap directive")
-                if val < 0:
-                    raise ParseError(lineno, "iucap must be >= 0")
-                iucap = val
-        elif kw in ("indicator", "sensor"):
-            if len(parts) != 2:
-                raise ParseError(lineno, f"{kw} takes exactly one id")
-            tok = parts[1]
-            if tok in side:
-                raise ParseError(lineno, f"duplicate declaration of {tok!r}")
-            side[tok] = kw
-            (indicators if kw == "indicator" else sensors).append(tok)
-        elif kw == "edge":
-            if len(parts) != 3:
-                raise ParseError(lineno, "edge takes an indicator id and a sensor id")
-            a, b = parts[1], parts[2]
-            for tok in (a, b):
-                if tok not in side:
-                    raise ParseError(lineno, f"edge references undeclared id {tok!r}")
-            if side[a] != "indicator":
-                raise ParseError(lineno, f"{a!r} is a {side[a]}, edges run indicator to sensor")
-            if side[b] != "sensor":
-                raise ParseError(lineno, f"{b!r} is a {side[b]}, edges run indicator to sensor")
-            if (a, b) in edge_seen:
-                raise ParseError(lineno, f"duplicate edge {a} {b}")
-            edge_seen.add((a, b))
-            edges.append((a, b))
+            if kw in caps:
+                raise ParseError(lineno, f"duplicate {kw} directive")
+            if val < (low := 1 if kw == "ucap" else 0):
+                raise ParseError(lineno, f"{kw} must be >= {low}")
+            caps[kw] = val
         else:
             raise ParseError(lineno, f"unknown directive {kw!r}")
 
-    if ucap is None:
-        raise ParseError(None, "missing ucap directive")
-    if iucap is None:
-        raise ParseError(None, "missing iucap directive")
-    return Instance(tuple(indicators), tuple(sensors), tuple(edges), ucap, iucap)
+    for kw in ("ucap", "iucap"):
+        if kw not in caps:
+            raise ParseError(None, f"missing {kw} directive")
+    (indicators, ind_lines), (sensors, sen_lines) = found["indicator"], found["sensor"]
+    lines = ind_lines + sen_lines
+    try:
+        inst = Instance(indicators, sensors, edges, caps["ucap"], caps["iucap"])
+    except ValueError:
+        message, at = _first_fault(tuple(indicators + sensors), len(indicators), edges)
+        raise ParseError(max((lines + edge_lines)[k] for k in at), message) from None
+    # ids are declared before use: only a declaration below an edge can break that
+    if edge_lines and max(lines) > edge_lines[0]:
+        for (a, b), lineno in zip(inst.edges, edge_lines):
+            for tok in (a, b):
+                if lines[inst.index[tok]] > lineno:
+                    raise ParseError(lineno, f"edge references undeclared id {tok!r}")
+    return inst
 
 
 def emit_instance(inst: Instance) -> str:

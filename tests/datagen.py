@@ -102,7 +102,7 @@ def definition_check(inst: Instance, assignment: dict[str, str], partners: set) 
         hosted = [e for e, w in assignment.items() if w == u]
         if sum(1 for e in hosted if e in inst.indicator_set) > inst.ucap:
             return False
-        if sum(1 for e in hosted if e in inst.sensor_set) > inst.ucap:
+        if sum(1 for e in hosted if e not in inst.indicator_set) > inst.ucap:
             return False
         if sum(1 for p in partners if u in p) > inst.iucap:
             return False

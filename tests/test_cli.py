@@ -382,6 +382,22 @@ def test_bench_records_say_why_unsat(tmp_path, capsys):
     assert (rows[1]["precheck"], rows[1]["refuted_from"]) == ("degree", None)
 
 
+def test_parse_ms_in_solve_stats_and_bench_records(tmp_path, capsys):
+    """Both report the time from the file's text to the checked instance;
+    a bench row whose instance never loaded has none."""
+    manifest = write_bench_tree(tmp_path)
+    assert main(["solve", "--instance", str(tmp_path / "rail.pup"), "--stats"]) == EXIT_SAT
+    key, value = capsys.readouterr().err.splitlines()[0].split()
+    assert key == "parse_ms" and float(value) > 0.0
+    manifest.write_text("rail.pup 2 2 3\nstar.pup 1 1 UNSAT\nghost.pup 1 1\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    assert main(["bench", "--manifest", str(manifest), "--records", str(records)]) == 1
+    capsys.readouterr()
+    rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    assert [type(r["parse_ms"]) for r in rows] == [float, float, type(None)]
+    assert rows[0]["parse_ms"] > 0.0 and rows[1]["parse_ms"] > 0.0
+
+
 def test_bench_mismatch_exits_nonzero(tmp_path, capsys):
     manifest = write_bench_tree(tmp_path, star_expect="2")
     rc = main(["bench", "--manifest", str(manifest)])

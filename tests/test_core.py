@@ -78,6 +78,7 @@ def test_stable_index_is_indicators_then_sensors():
         ("ucap 1\niucap 0\nindicator i\nindicator i\n", "duplicate declaration"),
         ("ucap 1\niucap 0\nindicator i\nsensor i\n", "duplicate declaration"),
         ("ucap 1\niucap 0\nedge i s\n", "undeclared id"),
+        ("ucap 1\niucap 0\nedge i s\nindicator i\nsensor s\n", "undeclared id"),
         ("ucap 1\niucap 0\nindicator i\nindicator j\nedge i j\n", "edges run indicator to sensor"),
         ("ucap 1\niucap 0\nindicator i\nsensor s\nedge s i\n", "edges run indicator to sensor"),
         ("ucap 1\niucap 0\nindicator i\nsensor s\nedge i s\nedge i s\n", "duplicate edge"),
@@ -89,6 +90,13 @@ def test_parse_instance_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+def test_edge_before_its_declarations_is_reported_at_the_edge():
+    with pytest.raises(ParseError) as err:
+        parse_instance("ucap 1\niucap 0\nedge i s\nindicator i\nsensor s\n")
+    assert err.value.lineno == 3
+    assert "undeclared id 'i'" in str(err.value)
 
 
 def test_parse_error_carries_line_number():
@@ -160,7 +168,7 @@ def test_adjacency_is_ascending_neighbour_indices_from_edges():
 def test_instance_views_leave_equality_hash_and_repr_alone():
     from_tuples = Instance(("i0", "i1"), ("s0",), (("i0", "s0"), ("i1", "s0")), 2, 1)
     from_lists = Instance(["i0", "i1"], ["s0"], [["i0", "s0"], ["i1", "s0"]], 2, 1)
-    assert from_lists.adjacency == ((2,), (2,), (0, 1))  # only one side has built its lazy views
+    assert from_lists.adjacency == ((2,), (2,), (0, 1))  # a view, kept out of ==, hash and repr
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
     assert repr(from_lists) == repr(from_tuples)

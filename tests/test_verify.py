@@ -124,8 +124,12 @@ def test_asymmetric_partner():
     report = verify_solution(inst, g)
     assert [v.kind for v in report] == [ViolationKind.ASYMMETRIC_PARTNER]
     assert report[0].subjects == ("u1", "u2")
-    # the closure-based adjacency still covers the edge for degree purposes
-    assert g.partner_adjacency["u2"] == frozenset({"u1"})
+    # partner degrees count the symmetric closure: at iucap 0 the one pair
+    # is over capacity at both ends
+    tight = Instance(inst.indicators, inst.sensors, inst.edges, 1, 0)
+    assert [(v.kind, v.subjects) for v in verify_solution(tight, g)][1:] == [
+        (ViolationKind.PARTNER_CAPACITY, ("u1",)), (ViolationKind.PARTNER_CAPACITY, ("u2",)),
+    ]
 
 
 def test_missing_connection():

@@ -67,8 +67,9 @@ def _reference_verify(inst: Instance, g: SolutionGraph) -> list[Violation]:
                 ViolationKind.ASYMMETRIC_PARTNER, (a, b),
                 f"partner pair ({a!r}, {b!r}) lacks its mirror ({b!r}, {a!r})",
             ))
+    closure = g.partners | {(b, a) for a, b in g.partners}
     for u in g.units:
-        degree = len(g.partner_adjacency.get(u, ()))
+        degree = sum(1 for a, _ in closure if a == u)
         if degree > inst.iucap:
             out.append(Violation(
                 ViolationKind.PARTNER_CAPACITY, (u,),
