@@ -12,6 +12,7 @@ from .core import (
     ParseError,
     SolutionGraph,
     SolveConfig,
+    component_precheck,
     degree_precheck,
     emit_instance,
     emit_solution,
@@ -63,6 +64,7 @@ __all__ = [
     "binpack_decide",
     "binpack_to_pup_iucap2",
     "breadth_first_order",
+    "component_precheck",
     "count_units",
     "degree_precheck",
     "double_binpack",

@@ -102,8 +102,8 @@ def cmd_solve(args) -> int:
             return EXIT_ERROR
         return EXIT_SAT
     if result.outcome is Outcome.UNSATISFIABLE:
-        # a degree-precheck refutation holds whatever the unit budget
-        any_count = result.stats.precheck == "degree" or not result.stats.budget_limited
+        # a degree or component refutation holds whatever the unit budget
+        any_count = result.stats.precheck in ("degree", "component") or not result.stats.budget_limited
         print("unsatisfiable", "(for any unit count)" if any_count else "(within unit budget)", file=sys.stderr)
         return EXIT_UNSAT
     print("timeout", file=sys.stderr)

@@ -112,7 +112,9 @@ class Instance:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "indicator_set", frozenset(self.indicators))
         object.__setattr__(self, "edge_set", edge_set)
-        object.__setattr__(self, "adjacency", tuple(map(tuple, map(sorted, adj))))
+        for nbrs in adj:
+            nbrs.sort()
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
 
 def _first_fault(elements: tuple[str, ...], n_ind: int, edges: tuple) -> tuple[str, tuple[int, ...]]:
@@ -396,6 +398,47 @@ def degree_precheck(inst: Instance) -> list[str]:
     """
     bound = (inst.iucap + 1) * inst.ucap
     return [e for e, nbrs in zip(inst.elements, inst.adjacency) if len(nbrs) > bound]
+
+
+def component_precheck(inst: Instance) -> list[str]:
+    """The lowest element id of each connected component with more than
+    (iucap + 1) * ucap indicators or sensors, in stable order; empty when
+    iucap > 1.
+
+    At iucap <= 1 every unit has at most one partner, so the units that host
+    a connected component are one unit or two partnered units (Aschinger,
+    Drescher, Gottlob, Jeavons and Thorstensen, IJCAI 2011), with ucap slots
+    a side each.  A non-empty result proves unsatisfiability regardless of
+    how many units are allowed.  An empty one at iucap <= 1 means every
+    component fits on one unit or one partnered pair, so the instance is
+    satisfiable within the default budget of one unit per element.
+    """
+    if inst.iucap > 1:
+        return []
+    bound = (inst.iucap + 1) * inst.ucap
+    n_ind = len(inst.indicators)
+    if n_ind <= bound and len(inst.sensors) <= bound:
+        return []  # no component holds more of a side than the whole side
+    nbr = inst.adjacency
+    seen = [False] * len(nbr)
+    out: list[str] = []
+    for root, root_nbrs in enumerate(nbr):
+        if seen[root] or not root_nbrs:  # an isolated element fits on any unit
+            continue
+        seen[root] = True
+        stack = [root]
+        ind = size = 0
+        while stack:
+            e = stack.pop()
+            size += 1
+            ind += e < n_ind  # indicators come first in the stable index
+            for nb in nbr[e]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        if ind > bound or size - ind > bound:
+            out.append(inst.elements[root])
+    return out
 
 
 # ===== plain-text graph descriptions (DOT) =====

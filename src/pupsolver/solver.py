@@ -1,5 +1,17 @@
 """Heuristic backtracking solver for the Partner Units Problem.
 
+Three prechecks come before any search; each is one linear pass and answers
+Unsatisfiable with no search node.  The degree precheck finds an element
+with more neighbours than its unit and iucap partners can host, the
+capacity precheck a side with more elements than the unit budget holds.
+The component precheck applies at iucap <= 1, where every unit has at most
+one partner, so a connected component lies on one unit or on two partnered
+units: a component with more than ucap * (iucap + 1) elements of a side has
+no placement, whatever the unit budget.  It is skipped when neither side as
+a whole exceeds that bound.  At iucap <= 1 and the default unit budget an
+instance that passes it is satisfiable: there the search never has to
+prove unsatisfiability.
+
 The search restarts from each indicator in turn (from the first sensor
 when there are none): each restart orders the elements breadth-first from
 its start and runs a depth-first backtracking assignment from an empty
@@ -60,7 +72,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import Instance, SolutionGraph, SolveConfig, degree_precheck
+from .core import Instance, SolutionGraph, SolveConfig, component_precheck, degree_precheck
 
 
 class Ternary(Enum):
@@ -603,7 +615,11 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
     """Decide the instance within cfg.max_units units and cfg.max_time_ms.
 
     Satisfiable comes with a verified-shape solution graph (minimized unless
-    cfg.minimize is off).  Unsatisfiable from a search means one entry point
+    cfg.minimize is off).  Unsatisfiable with stats.precheck set is a
+    precheck's proof, with no search node: "degree" and "component" (a
+    connected component too large for one unit or two partnered units, at
+    iucap <= 1) hold for any unit budget, "capacity" for the given one.
+    Unsatisfiable from a search means one entry point
     either exhausted its whole tree at the given unit budget, or found a
     suffix of its visit order that no edge joins to the prefix, that had
     enough unused units for every element in it, and whose first element
@@ -626,6 +642,9 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
         return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
     if len(inst.indicators) > max_units * inst.ucap or len(inst.sensors) > max_units * inst.ucap:
         stats.precheck = "capacity"
+        return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
+    if component_precheck(inst):
+        stats.precheck = "component"
         return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
 
     result = _solve_rounds(inst, cfg, max_units, stats, t_start + cfg.max_time_ms / 1000.0)

@@ -9,6 +9,7 @@ from pupsolver import (
     BinPackingInstance,
     emit_instance,
     emit_solution,
+    oracle_decide,
     parse_instance,
     parse_solution,
 )
@@ -41,6 +42,20 @@ def star_file(tmp_path):
     inst = Instance(("hub",), ("a", "b", "c"),
                     (("hub", "a"), ("hub", "b"), ("hub", "c")), 1, 1)
     p = tmp_path / "star.pup"
+    p.write_text(emit_instance(inst), encoding="utf-8")
+    return p
+
+
+@pytest.fixture
+def six_cycle_file(tmp_path):
+    """Two isolated pairs, then a 6-cycle that has no placement at ucap 1 /
+    iucap 1: its three indicators need more than two partnered units."""
+    from pupsolver import Instance
+
+    cycle = (("c0", "d0"), ("c1", "d0"), ("c1", "d1"), ("c2", "d1"), ("c2", "d2"), ("c0", "d2"))
+    inst = Instance(("p0", "p1", "c0", "c1", "c2"), ("q0", "q1", "d0", "d1", "d2"),
+                    (("p0", "q0"), ("p1", "q1"), *cycle), 1, 1)
+    p = tmp_path / "pairs.pup"
     p.write_text(emit_instance(inst), encoding="utf-8")
     return p
 
@@ -114,6 +129,19 @@ def test_solve_degree_refutation_holds_for_any_unit_count(tmp_path, capsys):
     assert rc == EXIT_UNSAT
     assert "precheck degree" in captured.err
     assert "unsatisfiable (for any unit count)" in captured.err
+
+
+@pytest.mark.parametrize("max_units, precheck", [(6, "component"), (4, "capacity")])
+def test_solve_component_refutation_holds_for_any_unit_count(six_cycle_file, capsys, max_units, precheck):
+    """The component precheck refutes every unit count, as the degree
+    precheck does; at 4 units the capacity precheck answers first, and its
+    answer holds only within the budget."""
+    rc = main(["solve", "--instance", str(six_cycle_file), "--max-units", str(max_units), "--stats"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_UNSAT
+    assert f"precheck {precheck}" in captured.err
+    scope = "(for any unit count)" if precheck == "component" else "(within unit budget)"
+    assert f"unsatisfiable {scope}" in captured.err
 
 
 def test_solve_timeout(tmp_path, capsys):
@@ -361,25 +389,30 @@ def test_bench_green_run(tmp_path, capsys):
     assert rows[2]["units"] == 1  # manifest ucap/iucap override the file
 
 
-def test_bench_records_say_why_unsat(tmp_path, capsys):
+def test_bench_records_say_why_unsat(tmp_path, six_cycle_file, capsys):
     """An UNSAT row names its proof: the precheck that decided it, or the
     element where the component cut refuted the search."""
     from pupsolver import Instance
 
     manifest = write_bench_tree(tmp_path)
-    # two isolated pairs, then a 6-cycle that has no placement at ucap 1 / iucap 1
-    cycle = (("c0", "d0"), ("c1", "d0"), ("c1", "d1"), ("c2", "d1"), ("c2", "d2"), ("c0", "d2"))
-    pairs = Instance(("p0", "p1", "c0", "c1", "c2"), ("q0", "q1", "d0", "d1", "d2"),
-                     (("p0", "q0"), ("p1", "q1"), *cycle), 1, 1)
-    (tmp_path / "pairs.pup").write_text(emit_instance(pairs), encoding="utf-8")
-    manifest.write_text("pairs.pup 1 1 UNSAT\nstar.pup 1 1 UNSAT\n", encoding="utf-8")
+    # p0 isolated, then c0-c3 / d0-d3 with no placement at ucap 1 / iucap 2;
+    # no degree exceeds 3 and the component precheck needs iucap <= 1, so
+    # entry 1 searches it and the cut fires at c0
+    core = (("c0", "d1"), ("c1", "d0"), ("c1", "d3"), ("c2", "d0"), ("c2", "d1"), ("c2", "d3"),
+            ("c3", "d0"), ("c3", "d1"), ("c3", "d3"))
+    cut = Instance(("p0", "c0", "c1", "c2", "c3"), ("d0", "d1", "d2", "d3"), core, 1, 2)
+    assert not oracle_decide(cut, len(cut.elements))
+    (tmp_path / "cut.pup").write_text(emit_instance(cut), encoding="utf-8")
+    manifest.write_text("cut.pup 1 2 UNSAT\nstar.pup 1 1 UNSAT\npairs.pup 1 1 UNSAT\n",
+                        encoding="utf-8")
     records = tmp_path / "records.jsonl"
     assert main(["bench", "--manifest", str(manifest), "--records", str(records)]) == 0
     capsys.readouterr()
     rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
-    assert [r["outcome"] for r in rows] == ["unsatisfiable", "unsatisfiable"]
+    assert [r["outcome"] for r in rows] == ["unsatisfiable"] * 3
     assert (rows[0]["precheck"], rows[0]["refuted_from"]) == (None, "c0")
     assert (rows[1]["precheck"], rows[1]["refuted_from"]) == ("degree", None)
+    assert (rows[2]["precheck"], rows[2]["refuted_from"]) == ("component", None)
 
 
 def test_parse_ms_in_solve_stats_and_bench_records(tmp_path, capsys):

@@ -11,6 +11,7 @@ from pupsolver import (
     ParseError,
     SolutionGraph,
     SolveConfig,
+    component_precheck,
     degree_precheck,
     emit_instance,
     emit_solution,
@@ -384,6 +385,58 @@ def test_degree_precheck_boundary():
     # degree exactly (iucap+1)*ucap passes
     inst = Instance(("hub",), ("a", "b"), (("hub", "a"), ("hub", "b")), 1, 1)
     assert degree_precheck(inst) == []
+
+
+# ===== component precheck =====
+
+
+def _cycle(tag: str, length: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple]:
+    """An even cycle of length 2 * length: indicator a reads sensors a and a - 1."""
+    ind = tuple(f"{tag}i{a}" for a in range(length))
+    sen = tuple(f"{tag}s{a}" for a in range(length))
+    return ind, sen, tuple((ind[a], sen[b]) for a in range(length) for b in {a, a - 1})
+
+
+def test_component_precheck_flags_each_oversize_component_by_its_lowest_element():
+    # at ucap 1 / iucap 1 a component holds at most two elements a side;
+    # a 4-cycle fits, a 6-cycle and an 8-cycle do not
+    parts = [_cycle("a", 3), _cycle("b", 2), _cycle("c", 4)]
+    ind = tuple(x for p in parts for x in p[0]) + ("lone",)
+    sen = tuple(x for p in parts for x in p[1])
+    edges = tuple(x for p in parts for x in p[2])
+    inst = Instance(ind, sen, edges, 1, 1)
+    assert degree_precheck(inst) == []
+    assert component_precheck(inst) == ["ai0", "ci0"]
+    # at iucap 0 the 4-cycle needs one unit for two elements a side as well
+    assert component_precheck(Instance(ind, sen, edges, 1, 0)) == ["ai0", "bi0", "ci0"]
+    # at ucap 2 / iucap 1 four a side fit on two partnered units
+    assert component_precheck(Instance(ind, sen, edges, 2, 1)) == []
+
+
+def test_component_precheck_counts_each_side_apart():
+    # one indicator reading two sensors: three elements, but two of a side,
+    # fits on two partnered units at ucap 1 / iucap 1
+    inst = Instance(("i",), ("s", "t"), (("i", "s"), ("i", "t")), 1, 1)
+    assert component_precheck(inst) == []
+    # three sensors in one component do not, and the component is named by
+    # its lowest element, the indicator
+    inst = Instance(("i", "j"), ("s", "t", "u"),
+                    (("i", "s"), ("i", "t"), ("j", "t"), ("j", "u")), 1, 1)
+    assert component_precheck(inst) == ["i"]
+
+
+def test_component_precheck_is_silent_above_iucap_1():
+    ind, sen, edges = _cycle("a", 3)
+    assert component_precheck(Instance(ind, sen, edges, 1, 1)) == ["ai0"]
+    assert component_precheck(Instance(ind, sen, edges, 1, 2)) == []
+
+
+def test_component_precheck_ignores_many_small_components():
+    # many components, each within the bound, though each side's total exceeds it
+    ind = tuple(f"i{a}" for a in range(50))
+    sen = tuple(f"s{a}" for a in range(50))
+    inst = Instance(ind, sen, tuple(zip(ind, sen)), 1, 0)
+    assert component_precheck(inst) == []
 
 
 # ===== graph descriptions =====

@@ -21,7 +21,9 @@ from pupsolver import (
     Ternary,
     assign,
     breadth_first_order,
+    component_precheck,
     count_units,
+    degree_precheck,
     emit_solution,
     minimize,
     oracle_decide,
@@ -32,7 +34,7 @@ from pupsolver import (
 from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
-from pupsolver.solver import _assign, _component_order, _cut_positions
+from pupsolver.solver import _assign, _component_order, _cut_positions, _solve_rounds
 
 from datagen import (
     all_small_bipartite,
@@ -760,6 +762,14 @@ def test_solve_20001_element_ladder_at_recursion_limit_1000():
 # ===== component cut =====
 
 
+def _search_only(inst: Instance, max_units: int | None = None):
+    """The restart rounds of solve without its prechecks: the component
+    precheck would answer every pairs+core instance before any search."""
+    budget = max_units if max_units is not None else max(len(inst.elements), 1)
+    return _solve_rounds(inst, SolveConfig(max_units=max_units), budget, SearchStats(),
+                         time.monotonic() + 2.0)
+
+
 @pytest.mark.parametrize("k", [1, 3, 8, 16, 100])
 def test_component_cut_refutes_pairs_core(k):
     """Without the cut the search backtracks through all placements of the
@@ -767,7 +777,7 @@ def test_component_cut_refutes_pairs_core(k):
     fires as soon as c0 has been searched on a fresh unit, not after c0 has
     also been tried on every unit of the pairs, so the proof is linear in
     k: 2k + 8 nodes and 7 backtracks."""
-    res = solve(pairs_core_instance(k), SolveConfig(max_time_ms=2000))
+    res = _search_only(pairs_core_instance(k))
     assert res.outcome is Outcome.UNSATISFIABLE
     assert (res.stats.nodes, res.stats.backtracks) == (2 * k + 8, 7)
     assert res.stats.entry_points_tried == 1
@@ -791,7 +801,7 @@ def test_component_cut_needs_room_for_the_suffix():
     # with fewer unused units than suffix elements the cut may not fire:
     # the search must exhaust the prefix, and the answer is still UNSAT
     inst = pairs_core_instance(3)
-    res = solve(inst, SolveConfig(max_units=8))
+    res = _search_only(inst, max_units=8)
     assert res.outcome is Outcome.UNSATISFIABLE
     assert res.stats.refuted_from is None
     assert not oracle_decide(inst, 8)
@@ -856,6 +866,59 @@ def test_component_cut_agrees_with_oracle_exhaustive(iucap):
     for inst in all_small_bipartite(6, iucap=iucap):
         _check_against_oracle(inst, None)
         _check_against_oracle(inst, max(len(inst.elements) // 2, 1))
+
+
+# ===== component precheck =====
+
+
+def _check_component_precheck(inst: Instance) -> None:
+    """A component refutation is oracle-UNSAT at every budget; at iucap <= 1
+    an instance that passes it is oracle-SAT at the default budget."""
+    n = len(inst.elements)
+    refuted = bool(component_precheck(inst))
+    if refuted:
+        assert not any(oracle_decide(inst, units) for units in range(1, n + 1)), inst
+    elif inst.iucap <= 1:
+        assert oracle_decide(inst, max(n, 1)), inst
+
+
+@pytest.mark.parametrize("iucap", [0, 1, 2])
+def test_component_precheck_agrees_with_oracle_exhaustive(iucap):
+    """Every instance of at most 6 elements (2606 per iucap); iucap 2 checks
+    that the precheck refutes nothing a partner chain can place."""
+    for inst in all_small_bipartite(6, iucap=iucap):
+        _check_component_precheck(inst)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(disjoint_unions())
+def test_component_precheck_agrees_with_oracle_on_disjoint_unions(case):
+    _check_component_precheck(case[0])
+
+
+def _iucap1_path(k: int, ucap: int) -> Instance:
+    """i_j - s_j and i_(j+1) - s_j: one component of k indicators and k sensors."""
+    ind = tuple(f"i{j}" for j in range(k))
+    sen = tuple(f"s{j}" for j in range(k))
+    edges = tuple((ind[j], sen[j]) for j in range(k))
+    edges += tuple((ind[j + 1], sen[j]) for j in range(k - 1))
+    return Instance(ind, sen, edges, ucap, 1)
+
+
+@pytest.mark.parametrize("ucap, k", [(4, 9), (5, 11), (6, 13)])
+def test_component_precheck_refutes_iucap1_paths_without_search(ucap, k):
+    """2 * ucap + 1 indicators in one component at iucap 1.  No degree
+    exceeds 2, and the search took 186,889 nodes at ucap 4 and 2.23M at
+    ucap 5, and ran out of 60 s after 27.9M nodes at ucap 6."""
+    inst = _iucap1_path(k, ucap)
+    assert degree_precheck(inst) == []
+    res = solve(inst)
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert (res.stats.precheck, res.stats.nodes) == ("component", 0)
+    assert component_precheck(inst) == ["i0"]
+    # one indicator fewer fits on two partnered units
+    assert solve(_iucap1_path(k - 1, ucap)).outcome is Outcome.SATISFIABLE
 
 
 # ===== twin rule =====
