@@ -33,7 +33,7 @@ from .reductions import (
     lift_iucap0_to_1,
     parse_binpack_line,
 )
-from .solver import Outcome, solve
+from .solver import Outcome, SearchStats, solve
 from .verify import count_units, verify_solution
 
 EXIT_SAT = 0
@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
         return _fail(str(exc))
     result = solve(inst, cfg)
     if args.stats:
-        sys.stderr.write(f"parse_ms {parse_ms:.3f}\n" + result.stats.as_text())
+        sys.stderr.write(json.dumps({"parse_ms": parse_ms, **result.stats.as_dict()}) + "\n")
     if result.outcome is Outcome.SATISFIABLE:
         if not _write(args.output, emit_solution(result.solution)):
             return EXIT_ERROR
@@ -202,8 +202,6 @@ def _parse_manifest(path: Path) -> list[tuple[str, int, int, str | None]]:
     return rows
 
 
-# the SearchStats fields each record copies; the ms ones are rounded to 3 places
-_BENCH_STATS = ("search_ms", "minimize_ms", "freeze_ms", "nodes", "backtracks", "precheck", "refuted_from")
 # (header, record key, width) of each table column; the note follows them
 _BENCH_COLUMNS = (
     ("instance", "instance", 40), ("outcome", "outcome", 14), ("units", "units", 6),
@@ -232,7 +230,7 @@ def cmd_bench(args) -> int:
             "units": None,
             "delta_units": None,
             "parse_ms": None,
-            **dict.fromkeys(_BENCH_STATS),
+            **dict.fromkeys(SearchStats().as_dict()),
             "note": "ok",
         }
         try:
@@ -244,9 +242,7 @@ def cmd_bench(args) -> int:
             continue
         result = solve(inst, cfg)
         rec["outcome"] = result.outcome.value
-        for key in _BENCH_STATS:
-            value = getattr(result.stats, key)
-            rec[key] = round(value, 3) if key.endswith("_ms") else value
+        rec.update(result.stats.as_dict())
         if result.outcome is Outcome.SATISFIABLE:
             rec["units"] = count_units(result.solution)
             if expected not in (None, "UNSAT"):

@@ -79,8 +79,6 @@ class Instance:
     # adjacency: the neighbours of each element by stable index, ascending
     elements: tuple[str, ...] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
-    indicator_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    edge_set: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,10 +92,10 @@ class Instance:
         elements, edges = self.indicators + self.sensors, self.edges
         n, n_ind = len(elements), len(self.indicators)
         index = dict(zip(elements, range(n)))
-        edge_set = frozenset(edges)
         # the joined ids split back into the ids only if none is empty or holds whitespace
         joined = " ".join(elements)
-        if "#" in joined or joined.split() != list(elements) or len(index) != n or len(edge_set) != len(edges):
+        distinct = len(index) == n and len(frozenset(edges)) == len(edges)
+        if "#" in joined or joined.split() != list(elements) or not distinct:
             raise ValueError(_first_fault(elements, n_ind, edges)[0])
         adj: list[list[int]] = [[] for _ in elements]
         get = index.get
@@ -110,8 +108,6 @@ class Instance:
             adj[j].append(i)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "indicator_set", frozenset(self.indicators))
-        object.__setattr__(self, "edge_set", edge_set)
         for nbrs in adj:
             nbrs.sort()
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))

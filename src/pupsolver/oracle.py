@@ -29,7 +29,7 @@ def oracle_decide(inst: Instance, max_units: int, *, max_elements: int = 12) -> 
         raise ValueError("max_units must be >= 1")
 
     idx = inst.index
-    is_ind = [e in inst.indicator_set for e in inst.elements]
+    is_ind = [k < len(inst.indicators) for k in range(n)]
     # from the edge list, not the instance's adjacency: no view shared with the solver
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for a, b in inst.edges:

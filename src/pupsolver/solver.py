@@ -69,7 +69,7 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .core import Instance, SolutionGraph, SolveConfig, component_precheck, degree_precheck
@@ -124,20 +124,37 @@ def _component_order(nbr: tuple[tuple[int, ...], ...], start: int) -> tuple[int,
 
 def breadth_first_order(start: str, inst: Instance) -> ElementOrder:
     """Breadth-first element order from a start indicator."""
-    if start not in inst.indicator_set:
+    first = inst.index.get(start, len(inst.indicators))
+    if first >= len(inst.indicators):
         raise ValueError(f"start element {start!r} is not an indicator")
-    seq = _component_order(inst.adjacency, inst.index[start])
+    seq = _component_order(inst.adjacency, first)
     return ElementOrder(start, tuple(inst.elements[k] for k in seq))
 
 
 @dataclass
 class SearchStats:
-    """Counters and timings for one solve() call."""
+    """What one solve() call did; as_dict() is its one rendering.
+
+    - rounds: restart rounds begun (each doubles every entry's node budget);
+    - nodes, backtracks: search nodes visited and backtracks, all entries;
+    - per_entry_ms: ms of each entry point's ordering and search, summed
+      over rounds, by the id of its start element, in start order;
+    - search_ms: ms of the whole solve less minimize_ms and freeze_ms, so
+      prechecks, ordering and model set-up included;
+    - minimize_ms, freeze_ms: ms of minimize and of to_solution_graph;
+    - units_before_minimize, units_after_minimize: unit counts of a
+      satisfiable answer, else None;
+    - precheck: "degree", "capacity" or "component" when that precheck
+      answered, else None;
+    - budget_limited: the unit budget is below the element count;
+    - refuted_from: the element where the component cut refuted the search,
+      else None.
+    """
 
     rounds: int = 0
     nodes: int = 0
     backtracks: int = 0
-    per_entry_ms: list[tuple[str, float]] = field(default_factory=list)
+    per_entry_ms: dict[str, float] = field(default_factory=dict)
     search_ms: float = 0.0
     minimize_ms: float = 0.0
     freeze_ms: float = 0.0
@@ -151,28 +168,15 @@ class SearchStats:
     def entry_points_tried(self) -> int:
         return len(self.per_entry_ms)
 
-    def as_text(self) -> str:
-        lines = [
-            f"entry_points_tried {self.entry_points_tried}",
-            f"rounds {self.rounds}",
-            f"nodes {self.nodes}",
-            f"backtracks {self.backtracks}",
-            f"search_ms {self.search_ms:.3f}",
-            f"minimize_ms {self.minimize_ms:.3f}",
-            f"freeze_ms {self.freeze_ms:.3f}",
-        ]
-        if self.precheck is not None:
-            lines.append(f"precheck {self.precheck}")
-        if self.refuted_from is not None:
-            lines.append(f"refuted_from {self.refuted_from}")
-        if self.units_before_minimize is not None:
-            lines.append(f"units_before_minimize {self.units_before_minimize}")
-        if self.units_after_minimize is not None:
-            lines.append(f"units_after_minimize {self.units_after_minimize}")
-        lines.append(f"budget_limited {str(self.budget_limited).lower()}")
-        for name, ms in self.per_entry_ms:
-            lines.append(f"entry {name} {ms:.3f}")
-        return "\n".join(lines) + "\n"
+    def as_dict(self) -> dict:
+        """Every field by name, in field order, each ms rounded to 3 places."""
+        rec = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key, value in rec.items():
+            if key == "per_entry_ms":
+                rec[key] = {name: round(ms, 3) for name, ms in value.items()}
+            elif key.endswith("_ms"):
+                rec[key] = round(value, 3)
+        return rec
 
 
 @dataclass
@@ -636,20 +640,25 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
 
     t_start = time.monotonic()
     if n == 0:
-        return _finish_sat(cfg, PartialModel(inst, max_units), stats)
-    if degree_precheck(inst):
-        stats.precheck = "degree"
-        return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-    if len(inst.indicators) > max_units * inst.ucap or len(inst.sensors) > max_units * inst.ucap:
-        stats.precheck = "capacity"
-        return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-    if component_precheck(inst):
-        stats.precheck = "component"
-        return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-
-    result = _solve_rounds(inst, cfg, max_units, stats, t_start + cfg.max_time_ms / 1000.0)
+        result = _finish_sat(cfg, PartialModel(inst, max_units), stats)
+    elif (reason := _precheck(inst, max_units)) is not None:
+        stats.precheck = reason
+        result = SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
+    else:
+        result = _solve_rounds(inst, cfg, max_units, stats, t_start + cfg.max_time_ms / 1000.0)
     stats.search_ms = (time.monotonic() - t_start) * 1000.0 - stats.minimize_ms - stats.freeze_ms
     return result
+
+
+def _precheck(inst: Instance, max_units: int) -> str | None:
+    """The first precheck that refutes the instance, else None."""
+    if degree_precheck(inst):
+        return "degree"
+    if len(inst.indicators) > max_units * inst.ucap or len(inst.sensors) > max_units * inst.ucap:
+        return "capacity"
+    if component_precheck(inst):
+        return "component"
+    return None
 
 
 def _solve_rounds(
@@ -662,16 +671,13 @@ def _solve_rounds(
     while True:
         stats.rounds += 1
         for k, start in enumerate(entries):
-            if k == len(stats.per_entry_ms):
-                stats.per_entry_ms.append((start, 0.0))
             # rebuilt each round rather than kept: one order per indicator
             # would hold n * |indicators| ints at once (indicator k is index k)
             t0 = time.monotonic()
             order = _component_order(m._nbr, k)
             r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats)
             now = time.monotonic()
-            name, ms = stats.per_entry_ms[k]
-            stats.per_entry_ms[k] = (name, ms + (now - t0) * 1000.0)
+            stats.per_entry_ms[start] = stats.per_entry_ms.get(start, 0.0) + (now - t0) * 1000.0
             if r is Ternary.TRUE:
                 return _finish_sat(cfg, m, stats)
             if r is Ternary.FALSE:  # the model is left as it is: it is not used again

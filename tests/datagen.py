@@ -97,12 +97,13 @@ def definition_check(inst: Instance, assignment: dict[str, str], partners: set) 
     """
     if set(assignment) != set(inst.elements):
         return False
+    indicators = set(inst.indicators)
     units = set(assignment.values())
     for u in units:
         hosted = [e for e, w in assignment.items() if w == u]
-        if sum(1 for e in hosted if e in inst.indicator_set) > inst.ucap:
+        if sum(1 for e in hosted if e in indicators) > inst.ucap:
             return False
-        if sum(1 for e in hosted if e not in inst.indicator_set) > inst.ucap:
+        if sum(1 for e in hosted if e not in indicators) > inst.ucap:
             return False
         if sum(1 for p in partners if u in p) > inst.iucap:
             return False
@@ -143,7 +144,8 @@ def enumerate_solutions(inst: Instance, max_units: int):
     partner position set) and where maps element positions to unit positions.
     """
     n = len(inst.elements)
-    is_ind = [e in inst.indicator_set for e in inst.elements]
+    indicators = set(inst.indicators)
+    is_ind = [e in indicators for e in inst.elements]
     nbrs = inst.adjacency
     ucap, iucap = inst.ucap, inst.iucap
     out = []

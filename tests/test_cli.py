@@ -127,7 +127,7 @@ def test_solve_degree_refutation_holds_for_any_unit_count(tmp_path, capsys):
     rc = main(["solve", "--instance", str(p), "--max-units", "2", "--stats"])
     captured = capsys.readouterr()
     assert rc == EXIT_UNSAT
-    assert "precheck degree" in captured.err
+    assert json.loads(captured.err.splitlines()[0])["precheck"] == "degree"
     assert "unsatisfiable (for any unit count)" in captured.err
 
 
@@ -139,7 +139,7 @@ def test_solve_component_refutation_holds_for_any_unit_count(six_cycle_file, cap
     rc = main(["solve", "--instance", str(six_cycle_file), "--max-units", str(max_units), "--stats"])
     captured = capsys.readouterr()
     assert rc == EXIT_UNSAT
-    assert f"precheck {precheck}" in captured.err
+    assert json.loads(captured.err.splitlines()[0])["precheck"] == precheck
     scope = "(for any unit count)" if precheck == "component" else "(within unit budget)"
     assert f"unsatisfiable {scope}" in captured.err
 
@@ -415,13 +415,41 @@ def test_bench_records_say_why_unsat(tmp_path, six_cycle_file, capsys):
     assert (rows[2]["precheck"], rows[2]["refuted_from"]) == ("component", None)
 
 
+def test_solve_stats_line_is_the_bench_record(tmp_path, capsys):
+    """pup solve --stats prints parse_ms and then the same solve record
+    that a pup bench --records row carries: the same keys, and for the same
+    instance the same counts, proofs and entry points."""
+    from pupsolver import Instance, SearchStats
+
+    manifest = write_bench_tree(tmp_path)
+    # the instance of test_bench_records_say_why_unsat that the cut refutes from c0
+    core = (("c0", "d1"), ("c1", "d0"), ("c1", "d3"), ("c2", "d0"), ("c2", "d1"), ("c2", "d3"),
+            ("c3", "d0"), ("c3", "d1"), ("c3", "d3"))
+    cut = Instance(("p0", "c0", "c1", "c2", "c3"), ("d0", "d1", "d2", "d3"), core, 1, 2)
+    (tmp_path / "cut.pup").write_text(emit_instance(cut), encoding="utf-8")
+    manifest.write_text("rail.pup 2 2 3\nstar.pup 1 1 UNSAT\ncut.pup 1 2 UNSAT\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    assert main(["bench", "--manifest", str(manifest), "--records", str(records)]) == 0
+    rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    assert [(r["precheck"], r["refuted_from"]) for r in rows] == [(None, None), ("degree", None), (None, "c0")]
+    keys = list(SearchStats().as_dict())
+    same = ("nodes", "backtracks", "rounds", "precheck", "refuted_from")
+    for name, row, rc in zip(("rail.pup", "star.pup", "cut.pup"), rows, (EXIT_SAT, EXIT_UNSAT, EXIT_UNSAT)):
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(tmp_path / name), "--stats"]) == rc
+        stats = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert list(stats) == ["parse_ms", *keys]
+        assert [stats[k] for k in same] == [row[k] for k in same], name
+        assert list(stats["per_entry_ms"]) == list(row["per_entry_ms"]), name
+
+
 def test_parse_ms_in_solve_stats_and_bench_records(tmp_path, capsys):
     """Both report the time from the file's text to the checked instance;
     a bench row whose instance never loaded has none."""
     manifest = write_bench_tree(tmp_path)
     assert main(["solve", "--instance", str(tmp_path / "rail.pup"), "--stats"]) == EXIT_SAT
-    key, value = capsys.readouterr().err.splitlines()[0].split()
-    assert key == "parse_ms" and float(value) > 0.0
+    stats = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert next(iter(stats)) == "parse_ms" and stats["parse_ms"] > 0.0
     manifest.write_text("rail.pup 2 2 3\nstar.pup 1 1 UNSAT\nghost.pup 1 1\n", encoding="utf-8")
     records = tmp_path / "records.jsonl"
     assert main(["bench", "--manifest", str(manifest), "--records", str(records)]) == 1

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pupsolver"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -90,3 +91,19 @@ def test_every_private_definition_is_read():
     unread = [f"{name}: {d}" for name, tree in trees.items()
               for d in _private_definitions(tree) if d not in read]
     assert unread == []
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    """The benchmark scripts read the package as ``pup``.  Each ``pup.<name>``
+    they read must exist, also where no run of theirs reaches the line."""
+    import pupsolver
+
+    read = {
+        (path.name, node.attr)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "pup"
+    }
+    assert ("replay.py", "ElementOrder") in read and ("run.py", "solve") in read
+    missing = sorted(f"{name}: pup.{attr}" for name, attr in read if not hasattr(pupsolver, attr))
+    assert missing == []

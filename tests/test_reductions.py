@@ -121,8 +121,8 @@ def test_embedding_shape_one_item_one_bin():
     assert len(inst.sensors) == 2 + 7
     assert len(inst.edges) == 2 + 49
     assert inst.indicators[0] == "item1_i"
-    assert ("item1_i", "item1_s2") in inst.edge_set
-    assert ("bin1_i7", "bin1_s1") in inst.edge_set
+    assert ("item1_i", "item1_s2") in set(inst.edges)
+    assert ("bin1_i7", "bin1_s1") in set(inst.edges)
 
 
 def test_embedding_positive_case_solves_and_verifies():

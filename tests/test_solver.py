@@ -1,8 +1,10 @@
 """Search components: element ordering, partial models, assign, minimize, solve."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
+import json
 import random
 import sys
 import time
@@ -365,7 +367,7 @@ def test_minimize_keeps_saturated_ring():
             if a == b_:
                 continue
             hosted = g.unit_elements
-            n_ind = sum(1 for e in hosted[a] + hosted[b_] if e in inst.indicator_set)
+            n_ind = sum(1 for e in hosted[a] + hosted[b_] if e in set(inst.indicators))
             n_sen = len(hosted[a]) + len(hosted[b_]) - n_ind
             # the partners of a and b_ in the symmetric closure, less a and b_
             merged_partners = {v for p in g.partners if a in p or b_ in p for v in p} - {a, b_}
@@ -627,8 +629,19 @@ def test_solve_sensor_only_instance():
     assert count_units(res.solution) == 2
     assert verify_solution(inst, res.solution) == []
     # the one entry point is named after the sensor it starts from
-    assert [name for name, _ in res.stats.per_entry_ms] == ["s1"]
-    assert "\nentry s1 " in res.stats.as_text()
+    assert list(res.stats.per_entry_ms) == ["s1"]
+    assert list(res.stats.as_dict()["per_entry_ms"]) == ["s1"]
+
+
+def test_search_stats_as_dict_names_every_field_and_rounds_ms():
+    stats = SearchStats(nodes=3, search_ms=1.23456, per_entry_ms={"i2": 2.5, "i1": 0.0004})
+    rec = stats.as_dict()
+    assert list(rec) == [f.name for f in dataclasses.fields(SearchStats)]
+    assert (rec["nodes"], rec["search_ms"], rec["precheck"]) == (3, 1.235, None)
+    # entries keep their start order, each ms rounded
+    assert list(rec["per_entry_ms"].items()) == [("i2", 2.5), ("i1", 0.0)]
+    assert json.loads(json.dumps(rec)) == rec
+    assert stats.per_entry_ms["i1"] == 0.0004  # the stats themselves are not rounded
 
 
 def test_solve_respects_unit_budget():
@@ -655,12 +668,13 @@ def test_solve_stats_slices_within_budget():
     res = solve(inst, SolveConfig(max_time_ms=budget_ms, max_units=budget))
     stats = res.stats
     assert stats.entry_points_tried == len(inst.indicators)
-    total = sum(ms for _, ms in stats.per_entry_ms)
+    total = sum(stats.per_entry_ms.values())
     # every entry runs under the one deadline, checked at every node, so the
     # entries together overrun it by one node at most, plus scheduling noise
     assert total <= budget_ms + 100
-    text = stats.as_text()
-    assert "entry_points_tried" in text and "backtracks" in text and "freeze_ms" in text
+    rec = stats.as_dict()
+    assert len(rec["per_entry_ms"]) == stats.entry_points_tried
+    assert "backtracks" in rec and "freeze_ms" in rec
 
 
 def test_solve_matches_oracle_small():
@@ -716,7 +730,7 @@ def test_solve_rounds_answer_from_a_later_entry():
     assert stats.rounds == 1
     assert stats.nodes < 1000
     assert len(stats.per_entry_ms) == stats.entry_points_tried
-    assert "rounds 1" in stats.as_text()
+    assert stats.as_dict()["rounds"] == 1
 
 
 def test_solve_20001_element_ladder_end_to_end():
@@ -782,7 +796,7 @@ def test_component_cut_refutes_pairs_core(k):
     assert (res.stats.nodes, res.stats.backtracks) == (2 * k + 8, 7)
     assert res.stats.entry_points_tried == 1
     assert res.stats.refuted_from == "c0"
-    assert "refuted_from c0" in res.stats.as_text()
+    assert res.stats.as_dict()["refuted_from"] == "c0"
 
 
 @pytest.mark.parametrize("k", [8, 16])
@@ -919,6 +933,14 @@ def test_component_precheck_refutes_iucap1_paths_without_search(ucap, k):
     assert component_precheck(inst) == ["i0"]
     # one indicator fewer fits on two partnered units
     assert solve(_iucap1_path(k - 1, ucap)).outcome is Outcome.SATISFIABLE
+
+
+def test_precheck_answer_reports_its_time():
+    """search_ms covers the prechecks too, so the component precheck's
+    pass over the 202 elements of this path shows in it."""
+    res = solve(_iucap1_path(101, 50))
+    assert (res.stats.precheck, res.stats.nodes) == ("component", 0)
+    assert res.stats.search_ms > 0.0
 
 
 # ===== twin rule =====
@@ -1076,8 +1098,10 @@ def _reference_assign(
 def _reference_prev_twins(inst: Instance, order: tuple[int, ...], first: int) -> list[int]:
     """The previous twin of each position, by a scan: the last position in
     first..k-1 with the same side and neighbours, else -1."""
+    indicators = set(inst.indicators)
+
     def key(e: int) -> tuple:
-        return inst.elements[e] in inst.indicator_set, inst.adjacency[e]
+        return inst.elements[e] in indicators, inst.adjacency[e]
 
     return [max((j for j in range(first, k) if key(order[j]) == key(order[k])), default=-1)
             for k in range(len(order))]

@@ -31,11 +31,12 @@ def _reference_verify(inst: Instance, g: SolutionGraph) -> list[Violation]:
 
     ind_count: dict[str, int] = {u: 0 for u in g.units}
     sen_count: dict[str, int] = {u: 0 for u in g.units}
+    indicators = set(inst.indicators)
     for e in inst.elements:
         u = g.assignment.get(e)
         if u is None or u not in known_units:
             continue
-        if e in inst.indicator_set:
+        if e in indicators:
             ind_count[u] += 1
         else:
             sen_count[u] += 1
