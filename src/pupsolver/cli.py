@@ -55,7 +55,7 @@ def _load_instance(path: str, caps: tuple[int, int] | None = None) -> tuple[Inst
     t0 = time.perf_counter()
     inst = parse_instance(text)
     if caps is not None:
-        inst = Instance(inst.indicators, inst.sensors, inst.edges, *caps)
+        inst = inst.with_caps(*caps)
     return inst, round((time.perf_counter() - t0) * 1000, 3)
 
 

@@ -37,6 +37,7 @@ Emitters drop units that host no element; a ``unit`` line without matching
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -85,10 +86,7 @@ class Instance:
         object.__setattr__(self, "indicators", tuple(self.indicators))
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))  # tuple edges stay as they are
-        if self.ucap < 1:
-            raise ValueError("ucap must be >= 1")
-        if self.iucap < 0:
-            raise ValueError("iucap must be >= 0")
+        self._check_caps()
         elements, edges = self.indicators + self.sensors, self.edges
         n, n_ind = len(elements), len(self.indicators)
         index = dict(zip(elements, range(n)))
@@ -111,6 +109,21 @@ class Instance:
         for nbrs in adj:
             nbrs.sort()
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+
+    def _check_caps(self) -> None:
+        if self.ucap < 1:
+            raise ValueError("ucap must be >= 1")
+        if self.iucap < 0:
+            raise ValueError("iucap must be >= 0")
+
+    def with_caps(self, ucap: int, iucap: int) -> Instance:
+        """The same graph at other caps: only the caps are checked, and the
+        checked views are shared, not built again."""
+        inst = copy.copy(self)
+        object.__setattr__(inst, "ucap", ucap)
+        object.__setattr__(inst, "iucap", iucap)
+        inst._check_caps()
+        return inst
 
 
 def _first_fault(elements: tuple[str, ...], n_ind: int, edges: tuple) -> tuple[str, tuple[int, ...]]:

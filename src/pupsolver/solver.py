@@ -12,19 +12,22 @@ a whole exceeds that bound.  At iucap <= 1 and the default unit budget an
 instance that passes it is satisfiable: there the search never has to
 prove unsatisfiability.
 
-The search restarts from each indicator in turn (from the first sensor
-when there are none): each restart orders the elements breadth-first from
-its start and runs a depth-first backtracking assignment from an empty
-model.  Restarts run in rounds: in round r every entry point, in indicator
-order, gets 2 * (n + 1) * 2**r search nodes, n being the element count, so
-a restart that never backtracks (n + 1 nodes) finishes in round 0.  The first entry
-point to find an assignment answers.  At every element the search tries
-one fresh unit first (if the unit budget allows) and then every existing
-unit in creation order; partner connections are never searched over
-because placing an element forces a unique set of new connections.  A
-fully exhausted restart proves unsatisfiability for the given unit budget,
-so the default budget |indicators| + |sensors| makes an Unsatisfiable
-answer hold globally.
+The search restarts from each indicator that has no earlier twin (see
+below), or from the first sensor when there are none: a twin's restart
+would repeat its twin's search, and as each restart is a complete search,
+any subset of them decides the instance.  Each orders the elements
+breadth-first from its start and runs a depth-first backtracking assignment
+on a model of its own, resumed where its last slice stopped.  Round r
+splits 2 * (n + 1) * 2**r search nodes (n elements) harmonically (Gomes,
+Selman and Kautz 1998): the restart at position p, from 0, gets that count
+// (p + 1), and starts only once its share reaches n + 1 nodes, a search
+that never backtracks.  The first restart to find an assignment answers.
+At every element the search tries one fresh unit first (if the unit budget
+allows) and then every existing unit in creation order; partner connections
+are never searched over because placing an element forces a unique set of
+new connections.  A fully exhausted restart proves unsatisfiability for the
+given unit budget, so the default budget |indicators| + |sensors| makes an
+Unsatisfiable answer hold globally.
 
 A second proof ends a restart early.  When the search backtracks out of
 the fresh unit of position i of the visit order, no input edge joins the
@@ -69,6 +72,7 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_left, bisect_right
+from collections.abc import Generator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -135,10 +139,10 @@ def breadth_first_order(start: str, inst: Instance) -> ElementOrder:
 class SearchStats:
     """What one solve() call did; as_dict() is its one rendering.
 
-    - rounds: restart rounds begun (each doubles every entry's node budget);
+    - rounds: restart rounds begun (each doubles the nodes split among the entries);
     - nodes, backtracks: search nodes visited and backtracks, all entries;
-    - per_entry_ms: ms of each entry point's ordering and search, summed
-      over rounds, by the id of its start element, in start order;
+    - per_entry_ms: ms of each entry point started (its ordering, model and
+      search, summed over rounds) by the id of its start element, in start order;
     - search_ms: ms of the whole solve less minimize_ms and freeze_ms, so
       prechecks, ordering and model set-up included;
     - minimize_ms, freeze_ms: ms of minimize and of to_solution_graph;
@@ -286,12 +290,6 @@ class PartialModel:
                 raise RuntimeError(f"unit {u} cannot be closed: not the last empty unconnected unit")
             self._n_units = u
 
-    def _undo_to(self, mark: int) -> None:
-        """Undo journal entries, newest first, until the journal has mark entries."""
-        journal = self._journal
-        while len(journal) > mark:
-            self._unplace_idx(*journal[-1][:2])
-
     # -- read-outs --
 
     @property
@@ -388,7 +386,7 @@ def _prev_twins(twin: list[int], order: tuple[int, ...], start: int) -> list[int
     return prev
 
 
-def _assign(
+def _search(
     m: PartialModel,
     order: tuple[int, ...],
     i: int,
@@ -396,8 +394,12 @@ def _assign(
     node_limit: int,
     max_units: int,
     stats: SearchStats,
-) -> Ternary:
+) -> Generator[Ternary, int, None]:
     """Depth-first search of order[i:] as one loop; m's journal is its stack.
+
+    It yields TIMEOUT at the node that takes stats.nodes past node_limit and
+    resumes there when sent a new limit, so its slices visit the nodes of one
+    search.  Its last yield is TRUE, FALSE, or TIMEOUT once the deadline passed.
 
     Backtracking to a position unplaces its element and resumes at the next
     existing unit or, when that placement opened the unit, at existing unit
@@ -416,9 +418,11 @@ def _assign(
     while True:
         stats.nodes += 1
         if i >= len(order):
-            return Ternary.TRUE
-        if stats.nodes > node_limit or time.monotonic() > deadline:
-            return Ternary.TIMEOUT
+            return (yield Ternary.TRUE)
+        while stats.nodes > node_limit:
+            node_limit = yield Ternary.TIMEOUT
+        if time.monotonic() > deadline:
+            return (yield Ternary.TIMEOUT)
         before[i] = top[i] = m._n_units
         j = prev[i]
         if j < 0 or unit_of[order[j]] == before[j]:
@@ -440,7 +444,7 @@ def _assign(
                 break
             stats.backtracks += 1
             if i == start:
-                return Ternary.FALSE
+                return (yield Ternary.FALSE)
             i -= 1
             u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
@@ -451,12 +455,17 @@ def _assign(
                     cuts = cuts or _cut_positions(m._nbr, order)
                     if cuts[i]:
                         stats.refuted_from = m.inst.elements[order[i]]
-                        return Ternary.FALSE
+                        return (yield Ternary.FALSE)
                 # it opened u, so its twin rule did not apply: next is unit 0
                 u = 0
             else:
                 u += 1
         i += 1
+
+
+def _assign(m, order, i, deadline, node_limit, max_units, stats) -> Ternary:
+    """The first slice of _search, which takes the same arguments; m is left where it stopped."""
+    return next(_search(m, order, i, deadline, node_limit, max_units, stats))
 
 
 def assign(
@@ -486,8 +495,8 @@ def assign(
     seq = tuple(m.inst.index[e] for e in order.sequence)
     mark = len(m._journal)
     r = _assign(m, seq, idx, deadline, sys.maxsize, max_units, stats)
-    if r is Ternary.FALSE:
-        m._undo_to(mark)
+    while r is Ternary.FALSE and len(m._journal) > mark:  # unwind m, newest first
+        m._unplace_idx(*m._journal[-1][:2])
     return r
 
 
@@ -664,25 +673,36 @@ def _precheck(inst: Instance, max_units: int) -> str | None:
 def _solve_rounds(
     inst: Instance, cfg: SolveConfig, max_units: int, stats: SearchStats, deadline: float
 ) -> SolveOutcome:
-    # without indicators the one entry is the first sensor, element 0
-    entries = inst.indicators or inst.elements[:1]
+    n = len(inst.elements)
     m = PartialModel(inst, max_units)
-    budget = 2 * (len(inst.elements) + 1)
+    # without indicators the one entry is the first sensor, element 0; an
+    # indicator with an earlier twin would repeat that twin's search
+    entries = [k for k in range(len(inst.indicators) or 1) if m._twin[k] == k]
+    started: list[tuple[PartialModel, Generator]] = []  # each begun entry's model and paused search
+    budget = 2 * (n + 1)
     while True:
         stats.rounds += 1
-        for k, start in enumerate(entries):
-            # rebuilt each round rather than kept: one order per indicator
-            # would hold n * |indicators| ints at once (indicator k is index k)
+        for p, k in enumerate(entries):
+            share = budget // (p + 1)
             t0 = time.monotonic()
-            order = _component_order(m._nbr, k)
-            r = _assign(m, order, 0, deadline, stats.nodes + budget, max_units, stats)
+            if p < len(started):
+                model, search = started[p]
+                r = search.send(stats.nodes + share)
+            elif share > n:
+                model = m if p == 0 else PartialModel(inst, max_units)
+                order = _component_order(m._nbr, k)
+                search = _search(model, order, 0, deadline, stats.nodes + share, max_units, stats)
+                started.append((model, search))
+                r = next(search)
+            else:  # the shares of the later entries are smaller still
+                break
             now = time.monotonic()
+            start = inst.elements[k]
             stats.per_entry_ms[start] = stats.per_entry_ms.get(start, 0.0) + (now - t0) * 1000.0
             if r is Ternary.TRUE:
-                return _finish_sat(cfg, m, stats)
+                return _finish_sat(cfg, model, stats)
             if r is Ternary.FALSE:  # the model is left as it is: it is not used again
                 return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-            if now > deadline:
+            if now > deadline:  # else r is TIMEOUT at a pause: the search waits for the next round
                 return SolveOutcome(Outcome.TIMEOUT, None, stats)
-            m._undo_to(0)  # out of nodes: the next entry starts from empty
         budget *= 2

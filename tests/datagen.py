@@ -75,6 +75,24 @@ def twin_heavy_instance(
                     rng.choice(list(ucaps)), rng.choice(list(iucaps)))
 
 
+def grid_instance(rows: int, cols: int) -> Instance:
+    """rows x cols zones (indicators z{i}_{j}, row-major) with one door
+    sensor between each pair of side-adjacent zones, read by both: h{i}_{j}
+    joins z{i}_{j} to z{i}_{j+1} and v{i}_{j} joins z{i}_{j} to z{i+1}_{j}.
+    Sensors are declared row-major, each zone's h door before its v door.
+    ucap 2, iucap 2; with at least three zones no two elements are twins."""
+    zones = tuple(f"z{i}_{j}" for i in range(rows) for j in range(cols))
+    doors: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for i in range(rows):
+        for j in range(cols):
+            for door, ni, nj in (("h", i, j + 1), ("v", i + 1, j)):
+                if ni < rows and nj < cols:
+                    doors.append(f"{door}{i}_{j}")
+                    edges += [(f"z{i}_{j}", doors[-1]), (f"z{ni}_{nj}", doors[-1])]
+    return Instance(zones, tuple(doors), tuple(edges), 2, 2)
+
+
 def all_small_bipartite(max_elements: int, ucaps=(1, 2), iucap: int = 0):
     """Every labeled bipartite graph with at most max_elements elements."""
     for n_ind in range(0, max_elements + 1):

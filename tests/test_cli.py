@@ -459,6 +459,25 @@ def test_parse_ms_in_solve_stats_and_bench_records(tmp_path, capsys):
     assert rows[0]["parse_ms"] > 0.0 and rows[1]["parse_ms"] > 0.0
 
 
+def test_bench_row_builds_its_instance_once(tmp_path, capsys, monkeypatch):
+    """A manifest row's caps replace the file's without a second full check
+    of the instance: one Instance.__post_init__ per row."""
+    from pupsolver import Instance
+
+    manifest = write_bench_tree(tmp_path)
+    manifest.write_text("rail.pup 9 0 1\n", encoding="utf-8")
+    built = []
+    post_init = Instance.__post_init__
+    monkeypatch.setattr(Instance, "__post_init__", lambda self: built.append(post_init(self)))
+    records = tmp_path / "records.jsonl"
+    assert main(["bench", "--manifest", str(manifest), "--records", str(records)]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    (row,) = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    assert (row["ucap"], row["iucap"], row["units"]) == (9, 0, 1)
+    assert row["parse_ms"] > 0.0
+
+
 def test_bench_mismatch_exits_nonzero(tmp_path, capsys):
     manifest = write_bench_tree(tmp_path, star_expect="2")
     rc = main(["bench", "--manifest", str(manifest)])

@@ -66,6 +66,17 @@ def test_stable_index_is_indicators_then_sensors():
     assert inst.adjacency == ((), ())
 
 
+def test_with_caps_shares_the_checked_views_and_checks_the_caps():
+    inst = rail_instance()
+    other = inst.with_caps(9, 0)
+    assert other == Instance(inst.indicators, inst.sensors, inst.edges, 9, 0)
+    assert (inst.ucap, inst.iucap) == (2, 2)
+    assert other.adjacency is inst.adjacency and other.index is inst.index
+    for caps, message in (((0, 0), "ucap must be >= 1"), ((1, -1), "iucap must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            inst.with_caps(*caps)
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

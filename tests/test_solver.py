@@ -36,10 +36,17 @@ from pupsolver import (
 from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
-from pupsolver.solver import _assign, _component_order, _cut_positions, _solve_rounds
+from pupsolver.solver import (
+    _assign,
+    _component_order,
+    _cut_positions,
+    _search,
+    _solve_rounds,
+)
 
 from datagen import (
     all_small_bipartite,
+    grid_instance,
     naive_decide,
     rail_instance,
     random_instance,
@@ -662,12 +669,14 @@ def test_solve_timeout_on_hard_unsat():
 
 
 def test_solve_stats_slices_within_budget():
-    # still open after 25.8M nodes, so every entry runs until the deadline
+    # still open after 25.8M nodes, so every entry without an earlier twin
+    # starts (the fifth in the third round, after a few hundred nodes) and runs
+    # until the deadline; the 16 indicators with an earlier twin never start
     inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
     budget_ms = 300
     res = solve(inst, SolveConfig(max_time_ms=budget_ms, max_units=budget))
     stats = res.stats
-    assert stats.entry_points_tried == len(inst.indicators)
+    assert list(stats.per_entry_ms) == ["item1_i", "item2_i", "item3_i", "bin1_i1", "bin2_i1"]
     total = sum(stats.per_entry_ms.values())
     # every entry runs under the one deadline, checked at every node, so the
     # entries together overrun it by one node at most, plus scheduling noise
@@ -719,18 +728,94 @@ def test_solve_bytes_do_not_depend_on_clock_speed(monkeypatch):
 
 
 def test_solve_rounds_answer_from_a_later_entry():
-    """Entries 1-3 start at item indicators and run out of their round-0
-    node budget; entry 4 starts at a gadget indicator and solves within it."""
+    """Entries 1-3 start at item indicators and none finds a solution in
+    its shares; entry 4 starts at a gadget indicator in the second round,
+    with a quarter of that round's nodes, and answers in the third."""
     inst, budget = binpack_to_pup_iucap2(BinPackingInstance((1, 1, 1), 3, 2))
     res = solve(inst, SolveConfig(max_time_ms=200, max_units=budget))
     assert res.outcome is Outcome.SATISFIABLE
     assert verify_solution(inst, res.solution) == []
     stats = res.stats
-    assert stats.entry_points_tried >= 4
-    assert stats.rounds == 1
-    assert stats.nodes < 1000
-    assert len(stats.per_entry_ms) == stats.entry_points_tried
-    assert stats.as_dict()["rounds"] == 1
+    assert list(stats.per_entry_ms) == ["item1_i", "item2_i", "item3_i", "bin1_i1"]
+    assert (stats.rounds, stats.nodes) == (3, 1128)
+    assert stats.as_dict()["rounds"] == 3
+    # the answer is entry 4's own first solution
+    m = PartialModel(inst, budget)
+    r = _assign(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, budget, SearchStats())
+    assert r is Ternary.TRUE
+    assert emit_solution(minimize(m).to_solution_graph()) == emit_solution(res.solution)
+
+
+def test_solve_rounds_skip_twin_entries():
+    """(3,) in 2 bins of 2: 12 of the 15 indicators have an earlier twin,
+    whose search they would repeat, and never start.  Entry 1 alone proves
+    the packing infeasible in 20,494 nodes; it resumes where each of its
+    slices stopped, so the proof ends in the ninth round, where restarting
+    all 15 entries from node 0 in every round took 526,519 nodes."""
+    inst, _ = binpack_to_pup_iucap2(BinPackingInstance((3,), 2, 2))
+    res = solve(inst, SolveConfig(max_units=6, max_time_ms=60_000))
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert res.stats.nodes <= 40_000
+    assert list(res.stats.per_entry_ms) == ["item1_i", "bin1_i1", "bin2_i1"]
+
+
+def test_solve_2x80_grid_with_harmonic_shares():
+    """The 2x80 grid has 160 entries and no twins.  Entry p gets 1/p of
+    each round and starts only once that share covers a search without
+    backtracking, so the answer costs about 14.5k nodes, where giving every
+    entry the whole budget in every round cost 906,521."""
+    inst = grid_instance(2, 80)
+    res = solve(inst)
+    assert res.outcome is Outcome.SATISFIABLE
+    assert verify_solution(inst, res.solution) == []
+    assert res.stats.nodes <= 60_000
+
+
+@pytest.mark.parametrize("packing, outcome", [
+    (((2,), 1, 2), Outcome.UNSATISFIABLE),
+    (((1, 1, 1), 3, 2), Outcome.SATISFIABLE),  # entry 4 answers in the third round
+], ids=["proof", "later-entry"])
+def test_solve_resumed_entries_do_not_depend_on_clock_speed(monkeypatch, packing, outcome):
+    """Resumed entries are budgeted in nodes as well: under a clock that
+    charges 1 ms per read, the answer keeps its outcome, bytes, nodes,
+    rounds and entries."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance(*packing))
+    cfg = SolveConfig(max_time_ms=600_000, max_units=budget)
+
+    def record(res):
+        text = emit_solution(res.solution) if res.solution is not None else None
+        return res.outcome, text, res.stats.nodes, res.stats.rounds, list(res.stats.per_entry_ms)
+
+    normal = record(solve(inst, cfg))
+    ticks = itertools.count(1)  # every clock read advances the clock by 1 ms
+    monkeypatch.setattr(solver_module.time, "monotonic", lambda: next(ticks) / 1000.0)
+    assert record(solve(inst, cfg)) == normal
+    assert normal[0] is outcome
+
+
+@pytest.mark.parametrize("inst, max_units, start", [
+    (pairs_core_instance(3), 8, "p0"),  # exhausted in 163 nodes
+    (pairs_core_instance(2), 10, "p0"),  # refuted by the component cut
+    (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i"),  # satisfiable
+], ids=["exhausted", "refuted", "satisfiable"])
+@pytest.mark.parametrize("step", [1, 7, 50])
+def test_search_resumed_in_slices_matches_one_run(inst, max_units, start, step):
+    """A search paused every step nodes and resumed each time visits the
+    nodes of one uninterrupted search: the same result, counters, model
+    state and journal."""
+    order = _entry_order(inst, start)
+    ref_m, ref_stats = PartialModel(inst, max_units), SearchStats()
+    ref = _assign(ref_m, order, 0, FAR_FUTURE, sys.maxsize, max_units, ref_stats)
+    m, stats = PartialModel(inst, max_units), SearchStats()
+    search = _search(m, order, 0, FAR_FUTURE, step, max_units, stats)
+    r = next(search)
+    while r is Ternary.TIMEOUT:  # a pause: the deadline is an hour away
+        r = search.send(stats.nodes + step)
+    assert r is ref
+    assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
+        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
+    assert m.snapshot() == ref_m.snapshot()
+    assert m._journal == ref_m._journal
 
 
 def test_solve_20001_element_ladder_end_to_end():
