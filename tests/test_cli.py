@@ -1,6 +1,8 @@
 """End-to-end command line behavior through cli.main()."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -575,3 +577,36 @@ def test_shipped_star_instance(capsys):
     rc = main(["solve", "--instance", str(REPO_INSTANCES / "star-unsat.pup")])
     assert rc == EXIT_UNSAT
     capsys.readouterr()
+
+
+# ===== the README's examples =====
+
+
+README = REPO_INSTANCES.parent / "README.md"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """The README's Python block runs as written from the repo root, and its
+    rail.pup solve and verify command lines exit 0, with their output files
+    in tmp_path."""
+    monkeypatch.chdir(README.parent)
+    (block,) = _readme_blocks("python")
+    exec(compile(block, str(README), "exec"), {})
+    assert "'nodes'" in capsys.readouterr().out
+
+    lines = [line for block in _readme_blocks("sh") for line in block.splitlines()
+             if line.startswith(("pup solve --instance instances/rail.pup", "pup verify"))]
+    assert len(lines) == 3, lines
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        # each output file, and the solution file verify reads, goes to tmp_path
+        for k, arg in enumerate(argv[:-1]):
+            if arg in ("-o", "--emit-graph", "--solution"):
+                argv[k + 1] = str(tmp_path / argv[k + 1])
+        assert main(argv) == 0, line
+    assert capsys.readouterr().err.splitlines()[-1] == "ok"
+    assert (tmp_path / "rail.dot").read_text(encoding="utf-8").startswith("graph solution {")

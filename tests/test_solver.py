@@ -30,6 +30,7 @@ from pupsolver import (
     minimize,
     oracle_decide,
     parse_instance,
+    solution_to_dot,
     solve,
     verify_solution,
 )
@@ -1311,4 +1312,20 @@ def test_pinned_solution_bytes_seed_1729_sweep():
     assert n_sat == 1809
     assert h.hexdigest() == (
         "317451482b3d01c28763795e1b2668b7841831e66ca9dafe7697d4fada486fba"
+    )
+
+
+def test_pinned_dot_and_unit_counts_seed_1729_sweep():
+    """One digest over solution_to_dot of every satisfiable answer of the
+    seed-1729 sweep, concatenated in sweep order, and count_units of each
+    answer equal to the unit count after minimize."""
+    rng = random.Random(1729)
+    h = hashlib.sha256()
+    for k in range(2000):
+        res = solve(random_instance(rng), SolveConfig(max_time_ms=10_000))
+        if res.outcome is Outcome.SATISFIABLE:
+            h.update(solution_to_dot(res.solution).encode())
+            assert count_units(res.solution) == res.stats.units_after_minimize, k
+    assert h.hexdigest() == (
+        "564980bca29d71dd58680910c2cb9146f8176acd3792c44b183270609a50918e"
     )
