@@ -31,15 +31,17 @@ Solution file grammar::
     assign <element-id> <unit-id>
     partner <unit-id> <unit-id>    each partnership listed once
 
-Emitters drop units that host no element; a ``unit`` line without matching
-``assign`` lines is how an explicitly empty unit would appear on disk.
+The emitters write one read-out of a graph, ``SolutionGraph.occupied()``:
+the units that host an element, in declaration order, each with its sorted
+``assign`` lines, then each partnership between two of them once.  Empty
+units and pairs that touch them are not written; a ``unit`` line without
+matching ``assign`` lines is how an explicitly empty unit would appear on disk.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 
@@ -180,33 +182,23 @@ class SolutionGraph:
             if a == b:
                 raise ValueError(f"unit {a!r} cannot partner itself")
 
-    @cached_property
-    def unit_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.units)}
-
-    @cached_property
-    def unit_elements(self) -> dict[str, tuple[str, ...]]:
-        """Elements hosted per unit, in assignment insertion order."""
+    def occupied(self) -> tuple[dict[str, list[str]], list[tuple[str, str]]]:
+        """What the emitters write: the declared units that host an element,
+        in declaration order, each with its element ids sorted, and each
+        partnership between two of them once, sorted by declaration rank."""
         hosted: dict[str, list[str]] = {u: [] for u in self.units}
         for e, u in self.assignment.items():
-            hosted.setdefault(u, []).append(e)
-        return {u: tuple(es) for u, es in hosted.items()}
-
-    @cached_property
-    def canonical_partners(self) -> tuple[tuple[str, str], ...]:
-        """Each partnership once, ordered and sorted by unit rank: declaration
-        index, then the units that only partner pairs name, by name."""
-        names = self.units
-        rank = self.unit_index
-        undeclared = set().union(*self.partners).difference(rank)
-        if undeclared:
-            names += tuple(sorted(undeclared))
-            rank = {u: k for k, u in enumerate(names)}
+            if u in hosted:
+                hosted[u].append(e)
+        units = {u: sorted(es) for u, es in hosted.items() if es}
+        names = list(units)
+        rank = dict(zip(names, range(len(names))))
         pairs: set[tuple[int, int]] = set()
         for a, b in self.partners:
-            x, y = rank[a], rank[b]
-            pairs.add((x, y) if x < y else (y, x))
-        return tuple((names[x], names[y]) for x, y in sorted(pairs))
+            if a in rank and b in rank:
+                x, y = rank[a], rank[b]
+                pairs.add((x, y) if x < y else (y, x))
+        return units, [(names[x], names[y]) for x, y in sorted(pairs)]
 
     def connected(self, u: str, v: str) -> bool:
         """True when u and v are the same unit or partners (either direction)."""
@@ -329,22 +321,14 @@ def emit_instance(inst: Instance) -> str:
 
 
 def emit_solution(g: SolutionGraph) -> str:
-    """Render a solution graph deterministically.
-
-    Occupied units appear in declaration order as a ``unit`` line followed by
-    its ``assign`` lines (element ids sorted); empty units are dropped, as are
-    partner lines touching them.  Partnerships are listed once, canonically.
-    """
+    """Render g.occupied() deterministically: each unit as a ``unit`` line
+    followed by its ``assign`` lines, then one ``partner`` line per pair."""
     lines: list[str] = []
-    occupied = [u for u in g.units if g.unit_elements.get(u)]
-    for u in occupied:
+    units, pairs = g.occupied()
+    for u, es in units.items():
         lines.append(f"unit {u}")
-        for e in sorted(g.unit_elements[u]):
-            lines.append(f"assign {e} {u}")
-    occ = set(occupied)
-    for a, b in g.canonical_partners:
-        if a in occ and b in occ:
-            lines.append(f"partner {a} {b}")
+        lines.extend(f"assign {e} {u}" for e in es)
+    lines.extend(f"partner {a} {b}" for a, b in pairs)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -474,12 +458,10 @@ def instance_to_dot(inst: Instance) -> str:
 def solution_to_dot(g: SolutionGraph) -> str:
     """Solution graph in DOT format: one node per occupied unit, partner edges."""
     lines = ["graph solution {", "  node [shape=box];"]
-    occupied = [u for u in g.units if g.unit_elements.get(u)]
-    for u in occupied:
-        lines.append(f"  {_dot_quote(u)} [label={_dot_quote(u, *sorted(g.unit_elements[u]))}];")
-    occ = set(occupied)
-    for a, b in g.canonical_partners:
-        if a in occ and b in occ:
-            lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
+    units, pairs = g.occupied()
+    for u, es in units.items():
+        lines.append(f"  {_dot_quote(u)} [label={_dot_quote(u, *es)}];")
+    for a, b in pairs:
+        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -392,10 +392,10 @@ def _search(
     i: int,
     deadline: float,
     node_limit: int,
-    max_units: int,
     stats: SearchStats,
 ) -> Generator[Ternary, int, None]:
-    """Depth-first search of order[i:] as one loop; m's journal is its stack.
+    """Depth-first search of order[i:] within m.max_units units as one loop;
+    m's journal is its stack.
 
     It yields TIMEOUT at the node that takes stats.nodes past node_limit and
     resumes there when sent a new limit, so its slices visit the nodes of one
@@ -414,6 +414,7 @@ def _search(
     # per position: it tries the existing units below top[i], set on entry
     top = [0] * len(order)
     unit_of = m._elem_unit
+    max_units = m.max_units
     cuts: list[bool] = []  # filled on first use: a search that never needs it pays nothing
     while True:
         stats.nodes += 1
@@ -463,11 +464,6 @@ def _search(
         i += 1
 
 
-def _assign(m, order, i, deadline, node_limit, max_units, stats) -> Ternary:
-    """The first slice of _search, which takes the same arguments; m is left where it stopped."""
-    return next(_search(m, order, i, deadline, node_limit, max_units, stats))
-
-
 def assign(
     order: ElementOrder,
     idx: int,
@@ -494,7 +490,8 @@ def assign(
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
     mark = len(m._journal)
-    r = _assign(m, seq, idx, deadline, sys.maxsize, max_units, stats)
+    m.max_units = max_units
+    r = next(_search(m, seq, idx, deadline, sys.maxsize, stats))
     while r is Ternary.FALSE and len(m._journal) > mark:  # unwind m, newest first
         m._unplace_idx(*m._journal[-1][:2])
     return r
@@ -691,7 +688,7 @@ def _solve_rounds(
             elif share > n:
                 model = m if p == 0 else PartialModel(inst, max_units)
                 order = _component_order(m._nbr, k)
-                search = _search(model, order, 0, deadline, stats.nodes + share, max_units, stats)
+                search = _search(model, order, 0, deadline, stats.nodes + share, stats)
                 started.append((model, search))
                 r = next(search)
             else:  # the shares of the later entries are smaller still

@@ -152,4 +152,4 @@ def induce_input_graph(g: SolutionGraph, ucap: int, iucap: int) -> Instance:
 
 def count_units(g: SolutionGraph) -> int:
     """Number of units hosting at least one element."""
-    return sum(1 for u in g.units if g.unit_elements.get(u))
+    return len(g.occupied()[0])

@@ -12,6 +12,7 @@ from pupsolver import (
     SolutionGraph,
     SolveConfig,
     component_precheck,
+    count_units,
     degree_precheck,
     emit_instance,
     emit_solution,
@@ -245,7 +246,7 @@ def test_partner_lines_canonical_and_single():
 
 def _reference_canonical_partners(g: SolutionGraph) -> tuple[tuple[str, str], ...]:
     """The key-function order that the rank order replaced, kept as its oracle."""
-    pos = g.unit_index
+    pos = {u: k for k, u in enumerate(g.units)}
 
     def key(u: str):
         return (pos.get(u, len(g.units)), u)
@@ -257,11 +258,14 @@ def _reference_canonical_partners(g: SolutionGraph) -> tuple[tuple[str, str], ..
 @st.composite
 def partner_graphs(draw):
     """Declared units in a drawn order, so that name order and declaration
-    order differ (u10 before u9), most of them hosting an element, and
-    partner pairs in one or both orientations, some naming undeclared units."""
+    order differ (u10 before u9), most of them hosting an element, some
+    elements on units that are never declared, and partner pairs in one or
+    both orientations, some naming undeclared units."""
     units = draw(st.permutations([f"u{k}" for k in range(1, 13)]))[: draw(st.integers(0, 12))]
     names = list(units) + ["u0", "u99", "v1", "w10", "w9"]  # the last five are never declared
     assignment = {f"e{k}": u for k, u in enumerate(units) if draw(st.integers(0, 4))}
+    for k, u in enumerate(draw(st.lists(st.sampled_from(names[-5:]), max_size=3))):
+        assignment[f"x{k}"] = u
     partners = set()
     for a, b in draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=30)):
         if a != b:
@@ -274,11 +278,22 @@ def partner_graphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(partner_graphs())
 def test_partner_order_matches_reference(g):
-    expected = _reference_canonical_partners(g)
-    assert g.canonical_partners == expected
-    ref = SolutionGraph(g.units, g.assignment, g.partners)
-    ref.__dict__["canonical_partners"] = expected  # the cached view emit_solution reads
-    assert emit_solution(g) == emit_solution(ref)
+    """occupied() and the read-outs of it against read-outs built from the
+    reference order, restricted to the pairs of occupied units."""
+    hosts = {u: sorted(e for e, v in g.assignment.items() if v == u) for u in g.units}
+    hosts = {u: es for u, es in hosts.items() if es}
+    pairs = [(a, b) for a, b in _reference_canonical_partners(g) if a in hosts and b in hosts]
+    assert g.occupied() == (hosts, pairs)
+    assert count_units(g) == len(hosts)
+    text, dot = [], ["graph solution {", "  node [shape=box];"]
+    for u, es in hosts.items():
+        text += [f"unit {u}", *(f"assign {e} {u}" for e in es)]
+        label = "\\n".join([u, *es])  # the drawn ids need no DOT escapes
+        dot.append(f'  "{u}" [label="{label}"];')
+    text += [f"partner {a} {b}" for a, b in pairs]
+    dot += [f'  "{a}" -- "{b}";' for a, b in pairs] + ["}"]
+    assert emit_solution(g) == "".join(line + "\n" for line in text)
+    assert solution_to_dot(g) == "\n".join(dot) + "\n"
 
 
 @pytest.mark.parametrize(

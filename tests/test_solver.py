@@ -38,7 +38,6 @@ from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
 from pupsolver.solver import (
-    _assign,
     _component_order,
     _cut_positions,
     _search,
@@ -370,11 +369,11 @@ def test_minimize_keeps_saturated_ring():
     assert count_units(g) == 3
 
     # by-hand mergeability scan over the frozen graph
+    hosted = g.occupied()[0]
     for a in g.units:
         for b_ in g.units:
             if a == b_:
                 continue
-            hosted = g.unit_elements
             n_ind = sum(1 for e in hosted[a] + hosted[b_] if e in set(inst.indicators))
             n_sen = len(hosted[a]) + len(hosted[b_]) - n_ind
             # the partners of a and b_ in the symmetric closure, less a and b_
@@ -742,7 +741,7 @@ def test_solve_rounds_answer_from_a_later_entry():
     assert stats.as_dict()["rounds"] == 3
     # the answer is entry 4's own first solution
     m = PartialModel(inst, budget)
-    r = _assign(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, budget, SearchStats())
+    r = next(_search(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, SearchStats()))
     assert r is Ternary.TRUE
     assert emit_solution(minimize(m).to_solution_graph()) == emit_solution(res.solution)
 
@@ -806,9 +805,9 @@ def test_search_resumed_in_slices_matches_one_run(inst, max_units, start, step):
     state and journal."""
     order = _entry_order(inst, start)
     ref_m, ref_stats = PartialModel(inst, max_units), SearchStats()
-    ref = _assign(ref_m, order, 0, FAR_FUTURE, sys.maxsize, max_units, ref_stats)
+    ref = next(_search(ref_m, order, 0, FAR_FUTURE, sys.maxsize, ref_stats))
     m, stats = PartialModel(inst, max_units), SearchStats()
-    search = _search(m, order, 0, FAR_FUTURE, step, max_units, stats)
+    search = _search(m, order, 0, FAR_FUTURE, step, stats)
     r = next(search)
     while r is Ternary.TIMEOUT:  # a pause: the deadline is an hour away
         r = search.send(stats.nodes + step)
@@ -1049,7 +1048,7 @@ def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool
         m._twin = list(range(len(inst.elements)))
     stats = SearchStats()
     order = _entry_order(inst, start)
-    r = _assign(m, order, 0, FAR_FUTURE, sys.maxsize, max_units, stats)
+    r = next(_search(m, order, 0, FAR_FUTURE, sys.maxsize, stats))
     return r, stats, m.snapshot()
 
 
@@ -1112,7 +1111,7 @@ def test_twin_rule_keeps_bytes_of_one_one_in_bins_of_one():
 # ===== the search loop against its recursive reference =====
 
 
-# The recursive search that _assign replaced, kept as its oracle with its
+# The recursive search that _search replaced, kept as its oracle with its
 # private result for the component cut, and given the twin rule in
 # recursive form: prev[i] is the position of the previous twin of order[i]
 # (-1 when there is none) and before[k] the unit count before position k
@@ -1197,7 +1196,7 @@ def _assign_matches_reference(
     inst: Instance, start: str | None, max_units: int, node_limit: int = sys.maxsize,
     first: int = 0,
 ) -> str:
-    """Search inst from start with _assign and with _reference_assign, each
+    """Search inst from start with _search and with _reference_assign, each
     on a fresh model with order[:first] placed on fresh units, from position
     first, and check that both give the same result, counters, placement
     attempts, model state and journal.  Returns a label for the outcome:
@@ -1212,7 +1211,7 @@ def _assign_matches_reference(
 
     m, stats = prefix_model(), SearchStats()
     attempts = _record_attempts(m)
-    r = _assign(m, order, first, FAR_FUTURE, node_limit, max_units, stats)
+    r = next(_search(m, order, first, FAR_FUTURE, node_limit, stats))
     ref_m, ref_stats, ref_attempts = prefix_model(), SearchStats(), []
     ref = _reference_assign(ref_m, order, first, FAR_FUTURE, node_limit, max_units, ref_stats,
                             ref_attempts, [], _reference_prev_twins(inst, order, first),
