@@ -16,8 +16,10 @@ The search restarts from each indicator that has no earlier twin (see
 below), or from the first sensor when there are none: a twin's restart
 would repeat its twin's search, and as each restart is a complete search,
 any subset of them decides the instance.  Each orders the elements
-breadth-first from its start and runs a depth-first backtracking assignment
-on a model of its own, resumed where its last slice stopped.  Round r
+breadth-first from its start and runs a depth-first backtracking assignment,
+resumed where its last slice stopped.  All of them share the solve's one
+model: a paused restart keeps only its placements, which are taken off the
+model and replayed onto it, with no search node, when it resumes.  Round r
 splits 2 * (n + 1) * 2**r search nodes (n elements) harmonically (Gomes,
 Selman and Kautz 1998): the restart at position p, from 0, gets that count
 // (p + 1), and starts only once its share reaches n + 1 nodes, a search
@@ -141,8 +143,9 @@ class SearchStats:
 
     - rounds: restart rounds begun (each doubles the nodes split among the entries);
     - nodes, backtracks: search nodes visited and backtracks, all entries;
-    - per_entry_ms: ms of each entry point started (its ordering, model and
-      search, summed over rounds) by the id of its start element, in start order;
+    - per_entry_ms: ms of each entry point started (its ordering, search and
+      replayed placements, summed over rounds) by the id of its start element,
+      in start order;
     - search_ms: ms of the whole solve less minimize_ms and freeze_ms, so
       prechecks, ordering and model set-up included;
     - minimize_ms, freeze_ms: ms of minimize and of to_solution_graph;
@@ -295,40 +298,6 @@ class PartialModel:
     @property
     def unit_count(self) -> int:
         return sum(1 for ind, sens in self._hosted[: self._n_units] if ind or sens)
-
-    def snapshot(self) -> tuple:
-        """Structural state for equality checks in tests."""
-        n = self._n_units
-        return (
-            tuple(self._elem_unit),
-            tuple(tuple(sorted(p)) for p in self._partners[:n]),
-            tuple((tuple(ind), tuple(sens)) for ind, sens in self._hosted[:n]),
-        )
-
-    def check_counters(self) -> None:
-        """Check the host lists and partner sets against each other and the caps."""
-        n = self._n_units
-        for u in range(n):
-            for side, hosted in enumerate(self._hosted[u]):
-                if len(hosted) > self.ucap:
-                    raise RuntimeError(f"unit {u} hosts more than ucap elements of one side")
-                for e in hosted:
-                    if self._side[e] != side:
-                        raise RuntimeError(f"element {e} is in the wrong side's list of unit {u}")
-                    if self._elem_unit[e] != u:
-                        raise RuntimeError(f"element {e} is listed on unit {u} but placed on another")
-            partners = self._partners[u]
-            if u in partners:
-                raise RuntimeError(f"unit {u} is its own partner")
-            if len(partners) > self.iucap:
-                raise RuntimeError(f"unit {u} has more than iucap partners")
-            if partners and not any(self._hosted[u]):
-                raise RuntimeError(f"empty unit {u} still has partners")
-            if any(w >= n or u not in self._partners[w] for w in partners):
-                raise RuntimeError(f"asymmetric partnership on unit {u}")
-        for e, u in enumerate(self._elem_unit):
-            if u >= 0 and self._hosted[u][self._side[e]].count(e) != 1:
-                raise RuntimeError(f"element {e} is not listed once on its unit")
 
     def to_solution_graph(self) -> SolutionGraph:
         """Freeze into an immutable SolutionGraph.
@@ -675,7 +644,9 @@ def _solve_rounds(
     # without indicators the one entry is the first sensor, element 0; an
     # indicator with an earlier twin would repeat that twin's search
     entries = [k for k in range(len(inst.indicators) or 1) if m._twin[k] == k]
-    started: list[tuple[PartialModel, Generator]] = []  # each begun entry's model and paused search
+    # each begun entry's paused search and the (element, unit) placements it
+    # had made when it paused; every entry runs on m, emptied between entries
+    started: list[tuple[Generator, list[tuple[int, int]]]] = []
     budget = 2 * (n + 1)
     while True:
         stats.rounds += 1
@@ -683,13 +654,14 @@ def _solve_rounds(
             share = budget // (p + 1)
             t0 = time.monotonic()
             if p < len(started):
-                model, search = started[p]
+                search, placed = started[p]
+                for e, u in placed:  # replayed, not searched: no node is counted
+                    if not m._place_idx(e, u):
+                        raise RuntimeError(f"replay mismatch: {e} no longer fits on unit {u}")
                 r = search.send(stats.nodes + share)
             elif share > n:
-                model = m if p == 0 else PartialModel(inst, max_units)
-                order = _component_order(m._nbr, k)
-                search = _search(model, order, 0, deadline, stats.nodes + share, stats)
-                started.append((model, search))
+                search = _search(m, _component_order(m._nbr, k), 0, deadline, stats.nodes + share, stats)
+                started.append((search, []))
                 r = next(search)
             else:  # the shares of the later entries are smaller still
                 break
@@ -697,9 +669,14 @@ def _solve_rounds(
             start = inst.elements[k]
             stats.per_entry_ms[start] = stats.per_entry_ms.get(start, 0.0) + (now - t0) * 1000.0
             if r is Ternary.TRUE:
-                return _finish_sat(cfg, model, stats)
-            if r is Ternary.FALSE:  # the model is left as it is: it is not used again
+                return _finish_sat(cfg, m, stats)
+            if r is Ternary.FALSE:
                 return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
-            if now > deadline:  # else r is TIMEOUT at a pause: the search waits for the next round
+            if now > deadline:  # nothing resumes a search stopped by the deadline
                 return SolveOutcome(Outcome.TIMEOUT, None, stats)
+            # r is TIMEOUT at a pause: keep the placements, then empty m for the next entry
+            placed = [entry[:2] for entry in m._journal]
+            started[p] = (search, placed)
+            for e, u in reversed(placed):
+                m._unplace_idx(e, u)
         budget *= 2

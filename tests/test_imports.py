@@ -1,8 +1,10 @@
 """Import hygiene: every absolute import in the package names a
-standard-library module, every imported name is used, and every
-module-level private definition and private method is read."""
+standard-library module, every imported name is used, every module-level
+private definition and private method is read, and every public method is
+read outside the tests."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -107,3 +109,25 @@ def test_every_package_name_the_benchmark_reads_exists():
     assert ("replay.py", "ElementOrder") in read and ("run.py", "solve") in read
     missing = sorted(f"{name}: pup.{attr}" for name, attr in read if not hasattr(pupsolver, attr))
     assert missing == []
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    """Each public method of a package class is read by the package, by the
+    benchmark scripts or by the README's Python example, which runs as a
+    test: a method only the tests read is a test aid, and belongs in them."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    sources = [path.read_text(encoding="utf-8")
+               for path in (*sorted(PACKAGE.rglob("*.py")), *sorted(PERFBENCH.glob("*.py")))]
+    sources += re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{path.name}: {node.name}.{method.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not method.name.startswith("_") and method.name not in read
+    ]
+    assert unread == []

@@ -148,6 +148,42 @@ def test_bfs_random_orders_are_permutations():
 # placement on unit m._n_units opens a fresh unit.
 
 
+def snapshot(m: PartialModel) -> tuple:
+    """The model's structural state, for equality checks."""
+    n = m._n_units
+    return (
+        tuple(m._elem_unit),
+        tuple(tuple(sorted(p)) for p in m._partners[:n]),
+        tuple((tuple(ind), tuple(sens)) for ind, sens in m._hosted[:n]),
+    )
+
+
+def check_counters(m: PartialModel) -> None:
+    """Check the model's host lists and partner sets against each other and the caps."""
+    n = m._n_units
+    for u in range(n):
+        for side, hosted in enumerate(m._hosted[u]):
+            if len(hosted) > m.ucap:
+                raise RuntimeError(f"unit {u} hosts more than ucap elements of one side")
+            for e in hosted:
+                if m._side[e] != side:
+                    raise RuntimeError(f"element {e} is in the wrong side's list of unit {u}")
+                if m._elem_unit[e] != u:
+                    raise RuntimeError(f"element {e} is listed on unit {u} but placed on another")
+        partners = m._partners[u]
+        if u in partners:
+            raise RuntimeError(f"unit {u} is its own partner")
+        if len(partners) > m.iucap:
+            raise RuntimeError(f"unit {u} has more than iucap partners")
+        if partners and not any(m._hosted[u]):
+            raise RuntimeError(f"empty unit {u} still has partners")
+        if any(w >= n or u not in m._partners[w] for w in partners):
+            raise RuntimeError(f"asymmetric partnership on unit {u}")
+    for e, u in enumerate(m._elem_unit):
+        if u >= 0 and m._hosted[u][m._side[e]].count(e) != 1:
+            raise RuntimeError(f"element {e} is not listed once on its unit")
+
+
 def test_assign_and_connect_same_unit_no_connection():
     inst = Instance(("i1",), ("s1",), (("i1", "s1"),), 2, 2)
     m = PartialModel(inst)
@@ -172,11 +208,11 @@ def test_assign_and_connect_rejects_two_new_connections_at_iucap_1():
     m = PartialModel(inst)
     assert m._place_idx(s1, m._n_units)
     assert m._place_idx(s2, m._n_units)
-    before, journal = m.snapshot(), list(m._journal)
+    before, journal = snapshot(m), list(m._journal)
     # i1 on a third unit would need connections to both units: the refused
     # placement opens no unit
     assert not m._place_idx(i1, m._n_units)
-    assert m.snapshot() == before
+    assert snapshot(m) == before
     assert m._n_units == 2 and m._journal == journal
     # placing i1 with one of its neighbors only needs the one connection
     assert m._place_idx(i1, 0)
@@ -208,14 +244,14 @@ def test_undo_restores_snapshot_exactly():
     i1, s1, s2 = (inst.index[e] for e in ("I1", "S1", "S2"))
     m = PartialModel(inst)
     assert m._place_idx(i1, m._n_units)
-    snap = m.snapshot()
+    snap = snapshot(m)
     assert m._place_idx(s1, m._n_units)
     assert m._place_idx(s2, 1)
     m._unplace_idx(s2, 1)
     m._unplace_idx(s1, 1)  # s1 opened unit 1: undoing it closes the unit
     assert m._n_units == 1
-    assert m.snapshot() == snap
-    m.check_counters()
+    assert snapshot(m) == snap
+    check_counters(m)
 
 
 def test_undo_journal_mismatch_is_fatal():
@@ -241,7 +277,7 @@ def test_randomized_place_undo_round_trips():
         inst = random_instance(rng, min_ind=1, min_sens=1)
         m = PartialModel(inst)
         stack = []
-        snaps = [m.snapshot()]
+        snaps = [snapshot(m)]
         for e in range(len(inst.elements)):
             # a fresh unit half the time, else the existing units in order
             # and a fresh one when none takes e; e stays unplaced if refused
@@ -250,13 +286,13 @@ def test_randomized_place_undo_round_trips():
             for u in candidates:
                 if m._place_idx(e, u):
                     stack.append((e, u))
-                    snaps.append(m.snapshot())
+                    snaps.append(snapshot(m))
                     break
-        m.check_counters()
+        check_counters(m)
         while stack:
             m._unplace_idx(*stack.pop())
             snaps.pop()
-            assert m.snapshot() == snaps[-1]
+            assert snapshot(m) == snaps[-1]
         assert m._n_units == 0
 
 
@@ -409,7 +445,7 @@ def test_minimize_merges_partnered_pair_and_keeps_third_partner():
         assert m._place_idx(inst.index[e], u)
     assert m._partners[u2] == {u1, u3}
     minimize(m)
-    m.check_counters()
+    check_counters(m)
     assert [any(h) for h in m._hosted] == [True, False, True]  # u2 merged into u1
     assert m._partners[u1] == {u3} and m._partners[u3] == {u1}
     assert verify_solution(inst, m.to_solution_graph()) == []
@@ -425,7 +461,7 @@ def test_minimize_merges_pair_sharing_a_partner():
         assert m._place_idx(inst.index[e], u)
     assert m._partners[u3] == {u1, u2}
     minimize(m)
-    m.check_counters()
+    check_counters(m)
     assert [any(h) for h in m._hosted] == [True, False, True]  # u2 merged into u1
     assert m._partners[u3] == {u1}
     assert verify_solution(inst, m.to_solution_graph()) == []
@@ -441,9 +477,9 @@ def test_check_counters_holds_after_assign_and_minimize():
         order = breadth_first_order(inst.indicators[0], inst)
         if assign(order, 0, m, FAR_FUTURE, m.max_units) is not Ternary.TRUE:
             continue
-        m.check_counters()
+        check_counters(m)
         minimize(m)
-        m.check_counters()
+        check_counters(m)
         assert verify_solution(inst, m.to_solution_graph()) == []
         checked += 1
     assert checked > 100
@@ -464,10 +500,10 @@ def test_check_counters_rejects_broken_partner_sets():
         m = PartialModel(inst, max_units=3)
         for e in ("i1", "s1", "s2"):  # one unit each
             assert m._place_idx(inst.index[e], m._n_units)
-        m.check_counters()
+        check_counters(m)
         corrupt(m)
         with pytest.raises(RuntimeError, match=message):
-            m.check_counters()
+            check_counters(m)
 
 
 def _reference_minimize(m: PartialModel) -> PartialModel:
@@ -509,8 +545,8 @@ def _minimize_matches_reference(m: PartialModel) -> bool:
     ref = copy.deepcopy(m)
     _reference_minimize(ref)
     minimize(m)
-    assert m.snapshot() == ref.snapshot()
-    m.check_counters()
+    assert snapshot(m) == snapshot(ref)
+    check_counters(m)
     return any(u > v >= 0 for u, v in zip(m._elem_unit, before))
 
 
@@ -598,7 +634,7 @@ def test_minimize_scales_on_20001_element_ladder():
     t0 = time.perf_counter()
     minimize(m)
     elapsed = time.perf_counter() - t0
-    m.check_counters()
+    check_counters(m)
     assert m.unit_count == 5001
     assert elapsed < 3.0
 
@@ -759,6 +795,29 @@ def test_solve_rounds_skip_twin_entries():
     assert list(res.stats.per_entry_ms) == ["item1_i", "bin1_i1", "bin2_i1"]
 
 
+@pytest.mark.parametrize("packing, outcome, entries, nodes", [
+    (((3,), 2, 2), Outcome.UNSATISFIABLE, 3, 34_512),  # a proof over 9 rounds
+    (((1, 1, 2), 3, 2), Outcome.SATISFIABLE, 4, 1_153),  # entry 4 answers
+], ids=["proof", "later-entry"])
+def test_solve_builds_one_model_for_all_its_entries(monkeypatch, packing, outcome, entries, nodes):
+    """Every entry runs on the solve's one model: a paused entry keeps its
+    placements and replays them when it resumes, and the replay counts no
+    search node."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance(*packing))
+    built = []
+    init = PartialModel.__init__
+
+    def counted_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(PartialModel, "__init__", counted_init)
+    res = solve(inst, SolveConfig(max_time_ms=600_000, max_units=budget))
+    assert res.outcome is outcome
+    assert (res.stats.entry_points_tried, res.stats.nodes) == (entries, nodes)
+    assert len(built) == 1
+
+
 def test_solve_2x80_grid_with_harmonic_shares():
     """The 2x80 grid has 160 entries and no twins.  Entry p gets 1/p of
     each round and starts only once that share covers a search without
@@ -814,7 +873,7 @@ def test_search_resumed_in_slices_matches_one_run(inst, max_units, start, step):
     assert r is ref
     assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
         ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
-    assert m.snapshot() == ref_m.snapshot()
+    assert snapshot(m) == snapshot(ref_m)
     assert m._journal == ref_m._journal
 
 
@@ -892,7 +951,7 @@ def test_assign_component_cut_returns_false_and_unwinds(k):
     r = assign(breadth_first_order("p0", inst), 0, m, FAR_FUTURE, len(inst.elements), stats)
     assert r is Ternary.FALSE
     assert stats.nodes <= 100 and stats.refuted_from == "c0"
-    assert m.snapshot() == PartialModel(inst).snapshot()
+    assert snapshot(m) == snapshot(PartialModel(inst))
     assert m._journal == []
 
 
@@ -1049,7 +1108,7 @@ def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool
     stats = SearchStats()
     order = _entry_order(inst, start)
     r = next(_search(m, order, 0, FAR_FUTURE, sys.maxsize, stats))
-    return r, stats, m.snapshot()
+    return r, stats, snapshot(m)
 
 
 def test_twin_rule_keeps_first_solution_on_seed_1729_sweep():
@@ -1220,7 +1279,7 @@ def _assign_matches_reference(
     assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
         ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
     assert attempts == ref_attempts
-    assert m.snapshot() == ref_m.snapshot()
+    assert snapshot(m) == snapshot(ref_m)
     assert m._journal == ref_m._journal
     return "refuted" if ref is _REFUTED else r.value
 
