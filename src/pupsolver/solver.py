@@ -18,8 +18,8 @@ would repeat its twin's search, and as each restart is a complete search,
 any subset of them decides the instance.  Each orders the elements
 breadth-first from its start and runs a depth-first backtracking assignment,
 resumed where its last slice stopped.  All of them share the solve's one
-model: a paused restart keeps only its placements, which are taken off the
-model and replayed onto it, with no search node, when it resumes.  Round r
+model: a paused restart keeps only its visit order and its path, the unit
+of each placement, replayed with no search node when it resumes.  Round r
 splits 2 * (n + 1) * 2**r search nodes (n elements) harmonically (Gomes,
 Selman and Kautz 1998): the restart at position p, from 0, gets that count
 // (p + 1), and starts only once its share reaches n + 1 nodes, a search
@@ -74,7 +74,6 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from collections.abc import Generator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -362,13 +361,14 @@ def _search(
     deadline: float,
     node_limit: int,
     stats: SearchStats,
-) -> Generator[Ternary, int, None]:
+    path: tuple[int, ...] = (),
+) -> Ternary:
     """Depth-first search of order[i:] within m.max_units units as one loop;
-    m's journal is its stack.
+    m's journal is its stack.  TRUE, FALSE, or TIMEOUT once the deadline passed.
 
-    It yields TIMEOUT at the node that takes stats.nodes past node_limit and
-    resumes there when sent a new limit, so its slices visit the nodes of one
-    search.  Its last yield is TRUE, FALSE, or TIMEOUT once the deadline passed.
+    A pause returns TIMEOUT at the node that takes stats.nodes past node_limit,
+    with its placements left on m.  Called on m as it first was, with their
+    units as path, it replays them, counting no node: its slices make one search.
 
     Backtracking to a position unplaces its element and resumes at the next
     existing unit or, when that placement opened the unit, at existing unit
@@ -385,14 +385,21 @@ def _search(
     unit_of = m._elem_unit
     max_units = m.max_units
     cuts: list[bool] = []  # filled on first use: a search that never needs it pays nothing
+    for u in path:  # each position entered as the loop below enters it, twin range included
+        before[i] = top[i] = m._n_units
+        j = prev[i]
+        if j >= 0 and unit_of[order[j]] != before[j]:
+            top[i] = before[j]
+        if not m._place_idx(order[i], u):
+            raise RuntimeError(f"replay mismatch: {order[i]} no longer fits on unit {u}")
+        i += 1
+    stats.nodes -= bool(path)  # the node it paused at was counted before the pause
     while True:
         stats.nodes += 1
         if i >= len(order):
-            return (yield Ternary.TRUE)
-        while stats.nodes > node_limit:
-            node_limit = yield Ternary.TIMEOUT
-        if time.monotonic() > deadline:
-            return (yield Ternary.TIMEOUT)
+            return Ternary.TRUE
+        if stats.nodes > node_limit or time.monotonic() > deadline:
+            return Ternary.TIMEOUT
         before[i] = top[i] = m._n_units
         j = prev[i]
         if j < 0 or unit_of[order[j]] == before[j]:
@@ -414,7 +421,7 @@ def _search(
                 break
             stats.backtracks += 1
             if i == start:
-                return (yield Ternary.FALSE)
+                return Ternary.FALSE
             i -= 1
             u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
@@ -425,7 +432,7 @@ def _search(
                     cuts = cuts or _cut_positions(m._nbr, order)
                     if cuts[i]:
                         stats.refuted_from = m.inst.elements[order[i]]
-                        return (yield Ternary.FALSE)
+                        return Ternary.FALSE
                 # it opened u, so its twin rule did not apply: next is unit 0
                 u = 0
             else:
@@ -460,7 +467,7 @@ def assign(
     seq = tuple(m.inst.index[e] for e in order.sequence)
     mark = len(m._journal)
     m.max_units = max_units
-    r = next(_search(m, seq, idx, deadline, sys.maxsize, stats))
+    r = _search(m, seq, idx, deadline, sys.maxsize, stats)
     while r is Ternary.FALSE and len(m._journal) > mark:  # unwind m, newest first
         m._unplace_idx(*m._journal[-1][:2])
     return r
@@ -644,27 +651,21 @@ def _solve_rounds(
     # without indicators the one entry is the first sensor, element 0; an
     # indicator with an earlier twin would repeat that twin's search
     entries = [k for k in range(len(inst.indicators) or 1) if m._twin[k] == k]
-    # each begun entry's paused search and the (element, unit) placements it
-    # had made when it paused; every entry runs on m, emptied between entries
-    started: list[tuple[Generator, list[tuple[int, int]]]] = []
+    # each begun entry's visit order and path (the unit of each placement at
+    # its last pause); every entry runs on m, emptied between entries
+    started: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     budget = 2 * (n + 1)
     while True:
         stats.rounds += 1
         for p, k in enumerate(entries):
             share = budget // (p + 1)
             t0 = time.monotonic()
-            if p < len(started):
-                search, placed = started[p]
-                for e, u in placed:  # replayed, not searched: no node is counted
-                    if not m._place_idx(e, u):
-                        raise RuntimeError(f"replay mismatch: {e} no longer fits on unit {u}")
-                r = search.send(stats.nodes + share)
-            elif share > n:
-                search = _search(m, _component_order(m._nbr, k), 0, deadline, stats.nodes + share, stats)
-                started.append((search, []))
-                r = next(search)
-            else:  # the shares of the later entries are smaller still
-                break
+            if p == len(started):
+                if share <= n:  # the shares of the later entries are smaller still
+                    break
+                started.append((_component_order(m._nbr, k), ()))
+            order, path = started[p]
+            r = _search(m, order, 0, deadline, stats.nodes + share, stats, path)
             now = time.monotonic()
             start = inst.elements[k]
             stats.per_entry_ms[start] = stats.per_entry_ms.get(start, 0.0) + (now - t0) * 1000.0
@@ -674,9 +675,8 @@ def _solve_rounds(
                 return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
             if now > deadline:  # nothing resumes a search stopped by the deadline
                 return SolveOutcome(Outcome.TIMEOUT, None, stats)
-            # r is TIMEOUT at a pause: keep the placements, then empty m for the next entry
-            placed = [entry[:2] for entry in m._journal]
-            started[p] = (search, placed)
-            for e, u in reversed(placed):
-                m._unplace_idx(e, u)
+            # r is TIMEOUT at a pause: keep the path, then empty m for the next entry
+            started[p] = (order, tuple(entry[1] for entry in m._journal))
+            while m._journal:
+                m._unplace_idx(*m._journal[-1][:2])
         budget *= 2

@@ -8,6 +8,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -777,7 +778,7 @@ def test_solve_rounds_answer_from_a_later_entry():
     assert stats.as_dict()["rounds"] == 3
     # the answer is entry 4's own first solution
     m = PartialModel(inst, budget)
-    r = next(_search(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, SearchStats()))
+    r = _search(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, SearchStats())
     assert r is Ternary.TRUE
     assert emit_solution(minimize(m).to_solution_graph()) == emit_solution(res.solution)
 
@@ -798,11 +799,12 @@ def test_solve_rounds_skip_twin_entries():
 @pytest.mark.parametrize("packing, outcome, entries, nodes", [
     (((3,), 2, 2), Outcome.UNSATISFIABLE, 3, 34_512),  # a proof over 9 rounds
     (((1, 1, 2), 3, 2), Outcome.SATISFIABLE, 4, 1_153),  # entry 4 answers
-], ids=["proof", "later-entry"])
+    (((1, 3), 2, 2), Outcome.UNSATISFIABLE, 4, 196_020),  # a proof over 11 rounds
+], ids=["proof", "later-entry", "long-proof"])
 def test_solve_builds_one_model_for_all_its_entries(monkeypatch, packing, outcome, entries, nodes):
-    """Every entry runs on the solve's one model: a paused entry keeps its
-    placements and replays them when it resumes, and the replay counts no
-    search node."""
+    """Every entry runs on the solve's one model: a paused entry keeps only
+    its visit order and its path, the unit of each placement, and replays
+    the path when it resumes, counting no search node."""
     inst, budget = binpack_to_pup_iucap2(BinPackingInstance(*packing))
     built = []
     init = PartialModel.__init__
@@ -852,6 +854,55 @@ def test_solve_resumed_entries_do_not_depend_on_clock_speed(monkeypatch, packing
     assert normal[0] is outcome
 
 
+def test_solve_memory_grows_by_an_order_and_a_path_per_paused_entry(monkeypatch):
+    """A paused entry keeps its visit order and its path, at most 8 bytes
+    per element each, and no search state: the 3x40 grid (317 elements),
+    stopped by the deadline after 8 entries and after 32 under a clock that
+    charges 1 ms per read, peaks at most 2 * 8 * n bytes higher per extra
+    entry (tracemalloc).  A paused entry that kept its search's O(n) lists
+    would cost about 13.8 KB per entry here."""
+    inst = grid_instance(3, 40)
+    n = len(inst.elements)
+    ticks = itertools.count(1)  # every clock read advances the clock by 1 ms
+    monkeypatch.setattr(solver_module.time, "monotonic", lambda: next(ticks) / 1000.0)
+    peaks, entries = [], []
+    for max_time_ms in (20_000, 90_000):
+        tracemalloc.start()
+        try:
+            res = solve(inst, SolveConfig(max_time_ms=max_time_ms))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.outcome is Outcome.TIMEOUT
+        entries.append(res.stats.entry_points_tried)
+    assert entries == [8, 32]
+    assert peaks[1] - peaks[0] <= 2 * 8 * n * (entries[1] - entries[0])
+
+
+def _check_resumed_in_slices(inst: Instance, max_units: int, start: str | None, step: int) -> None:
+    """Pause the search from start every step nodes, empty the model at each
+    pause as the restart rounds do, and resume it from its path: it visits
+    the nodes of one uninterrupted search, with the same result, counters,
+    model state and journal."""
+    order = _entry_order(inst, start)
+    ref_m, ref_stats = PartialModel(inst, max_units), SearchStats()
+    ref = _search(ref_m, order, 0, FAR_FUTURE, sys.maxsize, ref_stats)
+    m, stats = PartialModel(inst, max_units), SearchStats()
+    fresh = snapshot(PartialModel(inst, max_units))
+    r = _search(m, order, 0, FAR_FUTURE, step, stats)
+    while r is Ternary.TIMEOUT:  # a pause: the deadline is an hour away
+        path = tuple(entry[1] for entry in m._journal)
+        while m._journal:
+            m._unplace_idx(*m._journal[-1][:2])
+        assert snapshot(m) == fresh
+        r = _search(m, order, 0, FAR_FUTURE, stats.nodes + step, stats, path)
+    assert r is ref
+    assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
+        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
+    assert snapshot(m) == snapshot(ref_m)
+    assert m._journal == ref_m._journal
+
+
 @pytest.mark.parametrize("inst, max_units, start", [
     (pairs_core_instance(3), 8, "p0"),  # exhausted in 163 nodes
     (pairs_core_instance(2), 10, "p0"),  # refuted by the component cut
@@ -859,22 +910,29 @@ def test_solve_resumed_entries_do_not_depend_on_clock_speed(monkeypatch, packing
 ], ids=["exhausted", "refuted", "satisfiable"])
 @pytest.mark.parametrize("step", [1, 7, 50])
 def test_search_resumed_in_slices_matches_one_run(inst, max_units, start, step):
-    """A search paused every step nodes and resumed each time visits the
-    nodes of one uninterrupted search: the same result, counters, model
-    state and journal."""
-    order = _entry_order(inst, start)
-    ref_m, ref_stats = PartialModel(inst, max_units), SearchStats()
-    ref = next(_search(ref_m, order, 0, FAR_FUTURE, sys.maxsize, ref_stats))
-    m, stats = PartialModel(inst, max_units), SearchStats()
-    search = _search(m, order, 0, FAR_FUTURE, step, stats)
-    r = next(search)
-    while r is Ternary.TIMEOUT:  # a pause: the deadline is an hour away
-        r = search.send(stats.nodes + step)
-    assert r is ref
-    assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
-        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
-    assert snapshot(m) == snapshot(ref_m)
-    assert m._journal == ref_m._journal
+    _check_resumed_in_slices(inst, max_units, start, step)
+
+
+def test_search_resumed_in_slices_matches_one_run_on_twin_heavy_instances():
+    """A resume re-enters each replayed position with the unit range its
+    twin rule gave it, so backtracking into a replayed twin tries the same
+    units as in one run.  Every start of 100 twin-heavy instances, paused at
+    every node."""
+    rng = random.Random(5)
+    for _ in range(100):
+        inst = twin_heavy_instance(rng)
+        for start in inst.indicators or (None,):
+            _check_resumed_in_slices(inst, len(inst.elements), start, 1)
+
+
+def test_search_replay_that_no_longer_fits_raises():
+    """A resume replays its path with _place_idx; a placement that fails
+    there means the path is not the search's own, and the search raises
+    rather than go on from another state."""
+    inst = Instance(("i0", "i1"), ("s0",), (("i0", "s0"), ("i1", "s0")), 1, 1)
+    order = _entry_order(inst, "i0")  # i0, s0, i1: i1 finds unit 0 full
+    with pytest.raises(RuntimeError, match="replay mismatch"):
+        _search(PartialModel(inst), order, 0, FAR_FUTURE, sys.maxsize, SearchStats(), (0, 0, 0))
 
 
 def test_solve_20001_element_ladder_end_to_end():
@@ -1107,7 +1165,7 @@ def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool
         m._twin = list(range(len(inst.elements)))
     stats = SearchStats()
     order = _entry_order(inst, start)
-    r = next(_search(m, order, 0, FAR_FUTURE, sys.maxsize, stats))
+    r = _search(m, order, 0, FAR_FUTURE, sys.maxsize, stats)
     return r, stats, snapshot(m)
 
 
@@ -1270,7 +1328,7 @@ def _assign_matches_reference(
 
     m, stats = prefix_model(), SearchStats()
     attempts = _record_attempts(m)
-    r = next(_search(m, order, first, FAR_FUTURE, node_limit, stats))
+    r = _search(m, order, first, FAR_FUTURE, node_limit, stats)
     ref_m, ref_stats, ref_attempts = prefix_model(), SearchStats(), []
     ref = _reference_assign(ref_m, order, first, FAR_FUTURE, node_limit, max_units, ref_stats,
                             ref_attempts, [], _reference_prev_twins(inst, order, first),
