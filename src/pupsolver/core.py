@@ -146,7 +146,7 @@ def _first_fault(elements: tuple[str, ...], n_ind: int, edges: tuple) -> tuple[s
         if first[a] >= n_ind:
             return f"{a!r} is a sensor, edges run indicator to sensor", (k,)
         if first[b] < n_ind:
-            return f"{b!r} is a indicator, edges run indicator to sensor", (k,)
+            return f"{b!r} is an indicator, edges run indicator to sensor", (k,)
         if (a, b) in seen:
             return f"duplicate edge {a} {b}", (k,)
         seen.add((a, b))

@@ -31,17 +31,19 @@ new connections.  A fully exhausted restart proves unsatisfiability for the
 given unit budget, so the default budget |indicators| + |sensors| makes an
 Unsatisfiable answer hold globally.
 
-A second proof ends a restart early.  When the search backtracks out of
-the fresh unit of position i of the visit order, no input edge joins the
-elements before i to those from i on, and at least len(order) - i units
-are still unused, the instance is unsatisfiable.  A solution of the suffix
-alone would fit on fresh units beside the placed prefix; renumbered in
-creation order, it puts order[i] on the fresh unit, inside the subtree just
-searched, where twin pruning only skips mirror images of subtrees already
-searched without a solution (see below).  So the search stops instead of
-trying order[i] on the existing units.  This cut can only fire on
-unsatisfiable instances, so satisfiable searches visit the same nodes and
-emit the same bytes.
+A second proof ends a restart early.  The visit order is breadth-first
+per component and its components do not interleave, so no input edge joins
+the elements before position i > 0 to those from i on exactly when order[i]
+has no neighbour among them, that is, no placed neighbour.  When the search
+backtracks out of the fresh unit of such a position, with at least
+len(order) - i units still unused, the instance is unsatisfiable.  A
+solution of the suffix alone would fit on fresh units beside the placed
+prefix; renumbered in creation order, it puts order[i] on the fresh unit,
+inside the subtree just searched, where twin pruning only skips mirror
+images of subtrees already searched without a solution (see below).  So
+the search stops instead of trying order[i] on the existing units.  This
+cut can only fire on unsatisfiable instances, so satisfiable searches visit
+the same nodes and emit the same bytes.
 
 A third rule skips placements that are mirror images of failed ones
 (symmetry breaking during search; Gent and Smith, ECAI 2000).  Two
@@ -327,22 +329,6 @@ class PartialModel:
 # ===== search =====
 
 
-def _cut_positions(nbr: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> list[bool]:
-    """cuts[k] is True when 0 < k and no edge joins order[:k] to order[k:]."""
-    n = len(order)
-    pos = [n] * len(nbr)
-    for k, e in enumerate(order):
-        pos[e] = k
-    cuts = [False] * n
-    reach = 0  # furthest position of a neighbour of order[:k]
-    for k, e in enumerate(order):
-        cuts[k] = 0 < k and reach < k
-        for nb in nbr[e]:
-            if pos[nb] > reach:
-                reach = pos[nb]
-    return cuts
-
-
 def _prev_twins(twin: list[int], order: tuple[int, ...], start: int) -> list[int]:
     """prev[k] is the position of the last twin of order[k] in order[start:k], else -1."""
     prev = [-1] * len(order)
@@ -354,6 +340,14 @@ def _prev_twins(twin: list[int], order: tuple[int, ...], start: int) -> list[int
     return prev
 
 
+def _unwind(m: PartialModel, order: tuple[int, ...], start: int, i: int) -> tuple[int, ...]:
+    """Unplace order[start:i], newest first; returns the unit each was on, in order."""
+    path = tuple(m._elem_unit[e] for e in order[start:i])
+    for k in range(i - 1, start - 1, -1):
+        m._unplace_idx(order[k], path[k - start])
+    return path
+
+
 def _search(
     m: PartialModel,
     order: tuple[int, ...],
@@ -362,13 +356,20 @@ def _search(
     node_limit: int,
     stats: SearchStats,
     path: tuple[int, ...] = (),
-) -> Ternary:
+) -> tuple[Ternary, tuple[int, ...]]:
     """Depth-first search of order[i:] within m.max_units units as one loop;
-    m's journal is its stack.  TRUE, FALSE, or TIMEOUT once the deadline passed.
+    m's journal is its stack.  order is a _component_order, with order[:i]
+    placed on m and no other element: the component cut reads the placed
+    neighbours (see the module docstring).
 
-    A pause returns TIMEOUT at the node that takes stats.nodes past node_limit,
-    with its placements left on m.  Called on m as it first was, with their
-    units as path, it replays them, counting no node: its slices make one search.
+    Returns the answer and a path: TRUE with order[i:] placed on m; FALSE;
+    or TIMEOUT, at a pause or once the deadline passed.  At every answer but
+    TRUE, m is as the search found it: it unwinds its placements and returns
+    their units, in order, as the path (() when there were none).
+
+    A pause returns TIMEOUT at the node that takes stats.nodes past
+    node_limit.  Called again with the path it returned, the search replays
+    it, counting no node: its slices make one search.
 
     Backtracking to a position unplaces its element and resumes at the next
     existing unit or, when that placement opened the unit, at existing unit
@@ -380,16 +381,10 @@ def _search(
     # per placed position: the unit count before it was placed; the position
     # opened its unit exactly when that unit's index equals this count
     before = [0] * len(order)
-    # per position: it tries the existing units below top[i], set on entry
-    top = [0] * len(order)
     unit_of = m._elem_unit
     max_units = m.max_units
-    cuts: list[bool] = []  # filled on first use: a search that never needs it pays nothing
-    for u in path:  # each position entered as the loop below enters it, twin range included
-        before[i] = top[i] = m._n_units
-        j = prev[i]
-        if j >= 0 and unit_of[order[j]] != before[j]:
-            top[i] = before[j]
+    for u in path:  # each position entered as the loop below enters it
+        before[i] = m._n_units
         if not m._place_idx(order[i], u):
             raise RuntimeError(f"replay mismatch: {order[i]} no longer fits on unit {u}")
         i += 1
@@ -397,10 +392,10 @@ def _search(
     while True:
         stats.nodes += 1
         if i >= len(order):
-            return Ternary.TRUE
+            return Ternary.TRUE, ()
         if stats.nodes > node_limit or time.monotonic() > deadline:
-            return Ternary.TIMEOUT
-        before[i] = top[i] = m._n_units
+            return Ternary.TIMEOUT, _unwind(m, order, start, i)
+        before[i] = m._n_units
         j = prev[i]
         if j < 0 or unit_of[order[j]] == before[j]:
             # one fresh unit first: fresh units are interchangeable, so a
@@ -410,29 +405,29 @@ def _search(
                 continue
             u = 0
         else:
-            # the twin rule: from the twin's unit, and no unit created after the twin
-            u, top[i] = unit_of[order[j]], before[j]
+            u = unit_of[order[j]]  # the twin rule: from the twin's unit
         # then the existing units in creation order, backtracking when none fits
         while True:
-            e, hi = order[i], top[i]
+            e, j = order[i], prev[i]
+            # the twin rule: no unit created after a twin that went on an existing unit
+            hi = before[j] if j >= 0 and unit_of[order[j]] != before[j] else before[i]
             while u < hi and not m._place_idx(e, u):
                 u += 1
             if u < hi:
                 break
             stats.backtracks += 1
             if i == start:
-                return Ternary.FALSE
+                return Ternary.FALSE, ()
             i -= 1
             u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
             if u == before[i]:
                 # it opened u, now closed, and its fresh-unit subtree is
                 # exhausted: the component cut (see the module docstring)
-                if max_units - m._n_units >= len(order) - i:
-                    cuts = cuts or _cut_positions(m._nbr, order)
-                    if cuts[i]:
-                        stats.refuted_from = m.inst.elements[order[i]]
-                        return Ternary.FALSE
+                if (max_units - m._n_units >= len(order) - i and i
+                        and all(unit_of[nb] < 0 for nb in m._nbr[order[i]])):
+                    stats.refuted_from = m.inst.elements[order[i]]
+                    return Ternary.FALSE, _unwind(m, order, start, i)
                 # it opened u, so its twin rule did not apply: next is unit 0
                 u = 0
             else:
@@ -448,29 +443,31 @@ def assign(
     max_units: int,
     stats: SearchStats | None = None,
 ) -> Ternary:
-    """Search step: place order.sequence[idx:] onto units of m.
+    """Search step: place order.sequence[idx:] onto units of m, on which
+    order.sequence[:idx] is placed and no other element.
+
+    order.sequence must be the order that breadth_first_order gives from its
+    first element (the stable index order from element 0 for a sensor-only
+    instance); the component cut reads it, so any other raises ValueError.
 
     TRUE means m now extends to a full consistent assignment; FALSE means no
-    completion exists within max_units units (and m is restored); TIMEOUT
-    means the deadline passed, leaving m journal-restorable but otherwise
-    unspecified.  ``deadline`` is an absolute time.monotonic() timestamp,
-    checked at every search node, so timeout granularity is one node.
+    completion exists within max_units units; TIMEOUT means the deadline
+    passed.  At FALSE and TIMEOUT m is as it was found.  ``deadline`` is an
+    absolute time.monotonic() timestamp, checked at every search node, so
+    timeout granularity is one node.
 
     FALSE also comes from the component cut (see the module docstring):
     once the first element of a suffix that no edge joins to the placed
     prefix, with enough unused units for all of it, has been searched on a
     fresh unit without a solution, the suffix has no placement.  The search
-    then stops early, m is unwound through its journal, and
-    stats.refuted_from names that first element.
+    then stops early and stats.refuted_from names that first element.
     """
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
-    mark = len(m._journal)
+    if seq and seq != _component_order(m._nbr, seq[0]):
+        raise ValueError("order is not breadth-first from its first element")
     m.max_units = max_units
-    r = _search(m, seq, idx, deadline, sys.maxsize, stats)
-    while r is Ternary.FALSE and len(m._journal) > mark:  # unwind m, newest first
-        m._unplace_idx(*m._journal[-1][:2])
-    return r
+    return _search(m, seq, idx, deadline, sys.maxsize, stats)[0]
 
 
 # ===== unit minimization =====
@@ -652,7 +649,8 @@ def _solve_rounds(
     # indicator with an earlier twin would repeat that twin's search
     entries = [k for k in range(len(inst.indicators) or 1) if m._twin[k] == k]
     # each begun entry's visit order and path (the unit of each placement at
-    # its last pause); every entry runs on m, emptied between entries
+    # its last pause, as _search returned it); every entry runs on m, which
+    # _search leaves empty at every answer but TRUE
     started: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     budget = 2 * (n + 1)
     while True:
@@ -665,7 +663,7 @@ def _solve_rounds(
                     break
                 started.append((_component_order(m._nbr, k), ()))
             order, path = started[p]
-            r = _search(m, order, 0, deadline, stats.nodes + share, stats, path)
+            r, path = _search(m, order, 0, deadline, stats.nodes + share, stats, path)
             now = time.monotonic()
             start = inst.elements[k]
             stats.per_entry_ms[start] = stats.per_entry_ms.get(start, 0.0) + (now - t0) * 1000.0
@@ -675,8 +673,5 @@ def _solve_rounds(
                 return SolveOutcome(Outcome.UNSATISFIABLE, None, stats)
             if now > deadline:  # nothing resumes a search stopped by the deadline
                 return SolveOutcome(Outcome.TIMEOUT, None, stats)
-            # r is TIMEOUT at a pause: keep the path, then empty m for the next entry
-            started[p] = (order, tuple(entry[1] for entry in m._journal))
-            while m._journal:
-                m._unplace_idx(*m._journal[-1][:2])
+            started[p] = (order, path)  # r is TIMEOUT at a pause
         budget *= 2

@@ -112,6 +112,21 @@ def test_edge_before_its_declarations_is_reported_at_the_edge():
     assert "undeclared id 'i'" in str(err.value)
 
 
+@pytest.mark.parametrize("edge, message", [
+    ("edge i j", "line 6: 'j' is an indicator, edges run indicator to sensor"),
+    ("edge s i", "line 6: 's' is a sensor, edges run indicator to sensor"),
+])
+def test_wrong_side_edge_messages(edge, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"ucap 1\niucap 0\nindicator i\nindicator j\nsensor s\n{edge}\n")
+    assert str(err.value) == message
+    # the constructor reports the same fault, without the line
+    a, b = edge.split()[1:]
+    with pytest.raises(ValueError) as err:
+        Instance(("i", "j"), ("s",), ((a, b),), 1, 0)
+    assert str(err.value) == message.split(": ", 1)[1]
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_instance("ucap 1\niucap 0\n\nbogus x\n")

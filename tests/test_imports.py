@@ -1,7 +1,7 @@
 """Import hygiene: every absolute import in the package names a
 standard-library module, every imported name is used, every module-level
-private definition and private method is read, and every public method is
-read outside the tests."""
+private definition and private method is read, every public method is
+read outside the tests, and the undo journal is read only by its model."""
 
 import ast
 import re
@@ -93,6 +93,29 @@ def test_every_private_definition_is_read():
     unread = [f"{name}: {d}" for name, tree in trees.items()
               for d in _private_definitions(tree) if d not in read]
     assert unread == []
+
+
+def _journal_touches(path: Path) -> list[str]:
+    """Each ``_journal`` attribute outside class ``PartialModel`` that is
+    not the ``X`` of an ``X._journal.clear()`` call, as file:line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    allowed = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "PartialModel"
+               for node in ast.walk(cls)}
+    allowed.update(id(node.func.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and not node.args and not node.keywords
+                   and isinstance(node.func, ast.Attribute) and node.func.attr == "clear")
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_journal"
+            and id(node) not in allowed]
+
+
+def test_only_the_model_reads_its_journal():
+    """The journal's entry layout is PartialModel's own: outside the class,
+    package code only clears it (minimize, whose merges are not journaled).
+    The search returns the path of a paused entry, so no caller reads it."""
+    touches = [t for path in sorted(PACKAGE.rglob("*.py")) for t in _journal_touches(path)]
+    assert touches == []
 
 
 def test_every_package_name_the_benchmark_reads_exists():

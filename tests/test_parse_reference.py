@@ -55,9 +55,9 @@ def _reference_parse_instance(text: str) -> Instance:
                 if tok not in side:
                     raise ParseError(lineno, f"edge references undeclared id {tok!r}")
             if side[a] != "indicator":
-                raise ParseError(lineno, f"{a!r} is a {side[a]}, edges run indicator to sensor")
+                raise ParseError(lineno, f"{a!r} is a sensor, edges run indicator to sensor")
             if side[b] != "sensor":
-                raise ParseError(lineno, f"{b!r} is a {side[b]}, edges run indicator to sensor")
+                raise ParseError(lineno, f"{b!r} is an indicator, edges run indicator to sensor")
             if (a, b) in edge_seen:
                 raise ParseError(lineno, f"duplicate edge {a} {b}")
             edge_seen.add((a, b))

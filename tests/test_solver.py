@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pupsolver import (
+    ElementOrder,
     Instance,
     Outcome,
     PartialModel,
@@ -40,7 +41,6 @@ from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
 from pupsolver.solver import (
     _component_order,
-    _cut_positions,
     _search,
     _solve_rounds,
 )
@@ -345,6 +345,41 @@ def test_assign_timeout_returns_timeout():
     order = breadth_first_order("I1", inst)
     r = assign(order, 0, m, time.monotonic() - 1.0, max_units=9)
     assert r is Ternary.TIMEOUT
+    assert snapshot(m) == snapshot(PartialModel(inst))
+    assert m._journal == []
+
+
+def test_assign_deadline_mid_search_leaves_model_as_found(monkeypatch):
+    """A deadline that passes part-way through the search unwinds every
+    placement the search made, and leaves those it found."""
+    inst = ladder_instance(2, 2, 2, 30)
+    m = PartialModel(inst)
+    seq = breadth_first_order("I0", inst).sequence
+    for e in seq[:2]:
+        assert m._place_idx(inst.index[e], m._n_units)
+    found = snapshot(m)
+    ticks = itertools.count(1)  # every clock read advances the clock by 1 ms
+    monkeypatch.setattr(solver_module.time, "monotonic", lambda: next(ticks) / 1000.0)
+    stats = SearchStats()
+    assert assign(ElementOrder("I0", seq), 2, m, 0.02, m.max_units, stats) is Ternary.TIMEOUT
+    assert stats.nodes == 21  # one clock read per node: the 21st reads 21 ms
+    assert snapshot(m) == found
+    assert len(m._journal) == 2
+
+
+def test_assign_rejects_an_order_that_is_not_breadth_first():
+    """The component cut reads the visit order, so assign takes only the
+    orders that breadth_first_order builds, or the index order of a
+    sensor-only instance, which has no edges."""
+    inst = rail_instance()
+    m = PartialModel(inst)
+    with pytest.raises(ValueError, match="breadth-first"):
+        assign(ElementOrder("I1", inst.elements), 0, m, FAR_FUTURE, 9)
+    assert snapshot(m) == snapshot(PartialModel(inst))
+    sensors = Instance((), ("s1", "s2", "s3"), (), 1, 0)
+    m = PartialModel(sensors)
+    assert assign(ElementOrder(None, sensors.elements), 0, m, FAR_FUTURE, 3) is Ternary.TRUE
+    assert m.unit_count == 3
 
 
 def test_assign_branch_order_fresh_then_existing_in_creation_order():
@@ -778,7 +813,7 @@ def test_solve_rounds_answer_from_a_later_entry():
     assert stats.as_dict()["rounds"] == 3
     # the answer is entry 4's own first solution
     m = PartialModel(inst, budget)
-    r = _search(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, SearchStats())
+    r, _ = _search(m, _entry_order(inst, "bin1_i1"), 0, FAR_FUTURE, sys.maxsize, SearchStats())
     assert r is Ternary.TRUE
     assert emit_solution(minimize(m).to_solution_graph()) == emit_solution(res.solution)
 
@@ -880,22 +915,19 @@ def test_solve_memory_grows_by_an_order_and_a_path_per_paused_entry(monkeypatch)
 
 
 def _check_resumed_in_slices(inst: Instance, max_units: int, start: str | None, step: int) -> None:
-    """Pause the search from start every step nodes, empty the model at each
-    pause as the restart rounds do, and resume it from its path: it visits
-    the nodes of one uninterrupted search, with the same result, counters,
-    model state and journal."""
+    """Pause the search from start every step nodes, which leaves the model
+    empty as the restart rounds need it, and resume it from the path it
+    returned: it visits the nodes of one uninterrupted search, with the same
+    result, counters, model state and journal."""
     order = _entry_order(inst, start)
     ref_m, ref_stats = PartialModel(inst, max_units), SearchStats()
-    ref = _search(ref_m, order, 0, FAR_FUTURE, sys.maxsize, ref_stats)
+    ref, _ = _search(ref_m, order, 0, FAR_FUTURE, sys.maxsize, ref_stats)
     m, stats = PartialModel(inst, max_units), SearchStats()
     fresh = snapshot(PartialModel(inst, max_units))
-    r = _search(m, order, 0, FAR_FUTURE, step, stats)
+    r, path = _search(m, order, 0, FAR_FUTURE, step, stats)
     while r is Ternary.TIMEOUT:  # a pause: the deadline is an hour away
-        path = tuple(entry[1] for entry in m._journal)
-        while m._journal:
-            m._unplace_idx(*m._journal[-1][:2])
         assert snapshot(m) == fresh
-        r = _search(m, order, 0, FAR_FUTURE, stats.nodes + step, stats, path)
+        r, path = _search(m, order, 0, FAR_FUTURE, stats.nodes + step, stats, path)
     assert r is ref
     assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
         ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
@@ -1084,6 +1116,48 @@ def test_component_cut_agrees_with_oracle_exhaustive(iucap):
         _check_against_oracle(inst, max(len(inst.elements) // 2, 1))
 
 
+def _check_order_invariant(inst: Instance) -> None:
+    """The facts the component cut reads from each entry's visit order: a
+    position k > 0 has no earlier neighbour exactly when no edge joins
+    order[:k] to order[k:], and each component starts after the previous
+    one ends (component labels by union-find, apart from the order)."""
+    label = list(range(len(inst.elements)))
+
+    def root(e: int) -> int:
+        while label[e] != e:
+            e = label[e]
+        return e
+
+    for e, nbrs in enumerate(inst.adjacency):
+        for nb in nbrs:
+            label[root(nb)] = root(e)
+    for start in inst.indicators or (None,):
+        order = _entry_order(inst, start)
+        pos = {e: k for k, e in enumerate(order)}
+        cuts = _cut_positions(inst.adjacency, order)
+        for k, e in enumerate(order):
+            if k:
+                assert cuts[k] == all(pos[nb] > k for nb in inst.adjacency[e])
+        runs = [c for c, _ in itertools.groupby(root(e) for e in order)]
+        assert len(runs) == len(set(runs))
+
+
+def test_component_order_invariant_on_sweep_and_twin_heavy_instances():
+    rng = random.Random(1729)
+    for _ in range(2000):
+        _check_order_invariant(random_instance(rng))
+    rng = random.Random(8)
+    for _ in range(300):
+        _check_order_invariant(twin_heavy_instance(rng))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(disjoint_unions())
+def test_component_order_invariant_on_disjoint_unions(case):
+    _check_order_invariant(case[0])
+
+
 # ===== component precheck =====
 
 
@@ -1165,7 +1239,7 @@ def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool
         m._twin = list(range(len(inst.elements)))
     stats = SearchStats()
     order = _entry_order(inst, start)
-    r = _search(m, order, 0, FAR_FUTURE, sys.maxsize, stats)
+    r, _ = _search(m, order, 0, FAR_FUTURE, sys.maxsize, stats)
     return r, stats, snapshot(m)
 
 
@@ -1228,11 +1302,28 @@ def test_twin_rule_keeps_bytes_of_one_one_in_bins_of_one():
 # ===== the search loop against its recursive reference =====
 
 
+def _cut_positions(nbr: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> list[bool]:
+    """cuts[k] is True when 0 < k and no edge joins order[:k] to order[k:]."""
+    n = len(order)
+    pos = [n] * len(nbr)
+    for k, e in enumerate(order):
+        pos[e] = k
+    cuts = [False] * n
+    reach = 0  # furthest position of a neighbour of order[:k]
+    for k, e in enumerate(order):
+        cuts[k] = 0 < k and reach < k
+        for nb in nbr[e]:
+            if pos[nb] > reach:
+                reach = pos[nb]
+    return cuts
+
+
 # The recursive search that _search replaced, kept as its oracle with its
 # private result for the component cut, and given the twin rule in
 # recursive form: prev[i] is the position of the previous twin of order[i]
 # (-1 when there is none) and before[k] the unit count before position k
-# was placed.
+# was placed.  Its cut reads _cut_positions, which holds for any order,
+# where _search reads the placed neighbours of a breadth-first one.
 _REFUTED = object()
 
 
@@ -1316,8 +1407,10 @@ def _assign_matches_reference(
     """Search inst from start with _search and with _reference_assign, each
     on a fresh model with order[:first] placed on fresh units, from position
     first, and check that both give the same result, counters, placement
-    attempts, model state and journal.  Returns a label for the outcome:
-    "true", "false", "refuted" or "timeout"."""
+    attempts, model state and journal.  At every answer but TRUE, _search
+    leaves its model as it found it, and the path it returns, placed on
+    that model, gives the reference's state.  Returns a label for the
+    outcome: "true", "false", "refuted" or "timeout"."""
     order = _entry_order(inst, start)
 
     def prefix_model() -> PartialModel:
@@ -1328,7 +1421,7 @@ def _assign_matches_reference(
 
     m, stats = prefix_model(), SearchStats()
     attempts = _record_attempts(m)
-    r = _search(m, order, first, FAR_FUTURE, node_limit, stats)
+    r, path = _search(m, order, first, FAR_FUTURE, node_limit, stats)
     ref_m, ref_stats, ref_attempts = prefix_model(), SearchStats(), []
     ref = _reference_assign(ref_m, order, first, FAR_FUTURE, node_limit, max_units, ref_stats,
                             ref_attempts, [], _reference_prev_twins(inst, order, first),
@@ -1337,6 +1430,12 @@ def _assign_matches_reference(
     assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
         ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
     assert attempts == ref_attempts
+    if r is not Ternary.TRUE:
+        found = prefix_model()
+        assert snapshot(m) == snapshot(found) and m._journal == found._journal
+        assert path == tuple(entry[1] for entry in ref_m._journal[first:])
+        for e, u in zip(order[first:], path):
+            assert m._place_idx(e, u)
     assert snapshot(m) == snapshot(ref_m)
     assert m._journal == ref_m._journal
     return "refuted" if ref is _REFUTED else r.value
