@@ -1,8 +1,10 @@
 """Command line front end.
 
-Subcommands: solve, verify, oracle, reduce, lift, bench.  Solve exit codes:
-0 satisfiable, 1 unsatisfiable, 2 timeout, 3 usage, parse or write error.
-Every command that writes a file exits 3 when it cannot.
+Exit codes: solve 0 satisfiable, 1 unsatisfiable, 2 timeout; verify 0 ok,
+1 violations; oracle 0 SAT, 1 UNSAT; reduce and lift 0; bench 0, or 1 for a
+mismatch, a violation or an instance that did not load.  Any command exits 3
+on a usage error, input it cannot read, decode or parse, output it cannot
+write, or a crash: commands raise, and main alone picks the exit code.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .core import (
@@ -25,7 +28,7 @@ from .core import (
     parse_solution,
     solution_to_dot,
 )
-from .oracle import SizeGuardError, oracle_decide, oracle_min_units
+from .oracle import oracle_decide, oracle_min_units
 from .reductions import (
     binpack_to_pup_iucap2,
     double_binpack,
@@ -42,64 +45,48 @@ EXIT_TIMEOUT = 2
 EXIT_ERROR = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_ERROR)
+def _read(path: str | Path, parse):
+    """parse of the file's UTF-8 text; a ValueError gains the path, which an OSError names already."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_instance(path: str, caps: tuple[int, int] | None = None) -> tuple[Instance, float]:
     """The file's instance, with caps as its (ucap, iucap) if given, and the ms from text to Instance."""
-    text = Path(path).read_text(encoding="utf-8")
-    t0 = time.perf_counter()
-    inst = parse_instance(text)
-    if caps is not None:
-        inst = inst.with_caps(*caps)
-    return inst, round((time.perf_counter() - t0) * 1000, 3)
+    def parse(text: str) -> tuple[Instance, float]:
+        t0 = time.perf_counter()
+        inst = parse_instance(text)
+        if caps is not None:
+            inst = inst.with_caps(*caps)
+        return inst, round((time.perf_counter() - t0) * 1000, 3)
+    return _read(path, parse)
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_ERROR
-
-
-def _write(path: str | None, text: str) -> bool:
-    """Write text to path, or to stdout when no path is given.
-
-    A file that cannot be written is reported through _fail and gives
-    False; the caller then exits with EXIT_ERROR, whatever it computed.
-    """
-    if not path:
-        sys.stdout.write(text)
-        return True
-    try:
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        _fail(str(exc))
-        return False
-    return True
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_solve(args) -> int:
-    try:
-        inst, parse_ms = _load_instance(args.instance)
-        cfg = SolveConfig(
-            max_time_ms=args.max_time_ms,
-            max_units=args.max_units,
-            minimize=not args.no_minimize,
-        )
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
+    inst, parse_ms = _load_instance(args.instance)
+    cfg = SolveConfig(
+        max_time_ms=args.max_time_ms,
+        max_units=args.max_units,
+        minimize=not args.no_minimize,
+    )
     result = solve(inst, cfg)
     if args.stats:
         sys.stderr.write(json.dumps({"parse_ms": parse_ms, **result.stats.as_dict()}) + "\n")
     if result.outcome is Outcome.SATISFIABLE:
-        if not _write(args.output, emit_solution(result.solution)):
-            return EXIT_ERROR
+        _write(args.output, emit_solution(result.solution))
         print(f"satisfiable: {count_units(result.solution)} units", file=sys.stderr)
-        if args.emit_graph and not _write(args.emit_graph, solution_to_dot(result.solution)):
-            return EXIT_ERROR
+        if args.emit_graph:
+            _write(args.emit_graph, solution_to_dot(result.solution))
         return EXIT_SAT
     if result.outcome is Outcome.UNSATISFIABLE:
         # a degree or component refutation holds whatever the unit budget
@@ -111,12 +98,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        inst, _ = _load_instance(args.instance)
-        g = parse_solution(Path(args.solution).read_text(encoding="utf-8"))
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    violations = verify_solution(inst, g)
+    inst = _read(args.instance, parse_instance)
+    violations = verify_solution(inst, _read(args.solution, parse_solution))
     for v in violations:
         print(v)
     if violations:
@@ -127,65 +110,48 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        inst, _ = _load_instance(args.instance)
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        if args.min_units:
-            k = oracle_min_units(inst, max_elements=args.max_elements)
-            print("UNSAT" if k is None else k)
-            return EXIT_SAT if k is not None else EXIT_UNSAT
-        max_units = args.max_units
-        if max_units is None:
-            max_units = max(len(inst.elements), 1)
-        sat = oracle_decide(inst, max_units, max_elements=args.max_elements)
-    except (SizeGuardError, ValueError) as exc:
-        return _fail(str(exc))
+    inst = _read(args.instance, parse_instance)
+    if args.min_units:
+        k = oracle_min_units(inst, max_elements=args.max_elements)
+        print("UNSAT" if k is None else k)
+        return EXIT_SAT if k is not None else EXIT_UNSAT
+    max_units = args.max_units
+    if max_units is None:
+        max_units = max(len(inst.elements), 1)
+    sat = oracle_decide(inst, max_units, max_elements=args.max_elements)
     print("SAT" if sat else "UNSAT")
     return EXIT_SAT if sat else EXIT_UNSAT
 
 
-def _read_binpack(args) -> tuple:
-    if args.binpack:
-        return parse_binpack_line(Path(args.binpack).read_text(encoding="utf-8"))
-    if args.binsize is None or args.bins is None:
-        raise ValueError("need --binpack FILE or --items/--binsize/--bins")
-    return BinPackingInstance(tuple(args.items or ()), args.binsize, args.bins)
-
-
 def cmd_reduce(args) -> int:
-    try:
-        b = _read_binpack(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.binpack:
+        b = _read(args.binpack, parse_binpack_line)
+    elif args.binsize is None or args.bins is None:
+        raise ValueError("need --binpack FILE or --items/--binsize/--bins")
+    else:
+        b = BinPackingInstance(tuple(args.items or ()), args.binsize, args.bins)
     if args.double or args.double_only:
         b = double_binpack(b)
     if args.double_only:
-        return 0 if _write(args.output, emit_binpack_line(b)) else EXIT_ERROR
+        _write(args.output, emit_binpack_line(b))
+        return 0
     inst, expected = binpack_to_pup_iucap2(b)
-    if not _write(args.output, emit_instance(inst)):
-        return EXIT_ERROR
+    _write(args.output, emit_instance(inst))
     print(f"expected units: {expected}", file=sys.stderr)
     return 0
 
 
 def cmd_lift(args) -> int:
-    try:
-        inst, _ = _load_instance(args.instance)
-        lifted, units = lift_iucap0_to_1(inst, args.units)
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    if not _write(args.output, emit_instance(lifted)):
-        return EXIT_ERROR
+    lifted, units = lift_iucap0_to_1(_read(args.instance, parse_instance), args.units)
+    _write(args.output, emit_instance(lifted))
     print(f"lifted unit budget: {units}", file=sys.stderr)
     return 0
 
 
-def _parse_manifest(path: Path) -> list[tuple[str, int, int, str | None]]:
+def _parse_manifest(text: str) -> list[tuple[str, int, int, str | None]]:
     """Rows of ``<path> <ucap> <iucap> [<expected-min-units>|UNSAT]``."""
     rows = []
-    for lineno, parts in content_lines(path.read_text(encoding="utf-8")):
+    for lineno, parts in content_lines(text):
         if len(parts) not in (3, 4):
             raise ParseError(lineno, "expected: <path> <ucap> <iucap> [<expected>|UNSAT]")
         try:
@@ -213,11 +179,8 @@ _BENCH_COLUMNS = (
 
 def cmd_bench(args) -> int:
     manifest = Path(args.manifest)
-    try:
-        rows = _parse_manifest(manifest)
-        cfg = SolveConfig(max_time_ms=args.max_time_ms)
-    except (OSError, ParseError, ValueError) as exc:
-        return _fail(str(exc))
+    rows = _read(manifest, _parse_manifest)
+    cfg = SolveConfig(max_time_ms=args.max_time_ms)
     records = []
     any_bad = False
     for rel_path, ucap, iucap, expected in rows:
@@ -235,7 +198,7 @@ def cmd_bench(args) -> int:
         }
         try:
             inst, rec["parse_ms"] = _load_instance(str(manifest.parent / rel_path), (ucap, iucap))
-        except (OSError, ParseError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             rec["note"] = f"error: {exc}"
             any_bad = True
             records.append(rec)
@@ -266,13 +229,13 @@ def cmd_bench(args) -> int:
         cells = ["-" if rec[key] is None else str(rec[key]) for _, key, _ in _BENCH_COLUMNS]
         cells[0] = cells[0][:40]  # a long instance path is cut to its column
         print("  ".join(c.ljust(w) for c, (_, _, w) in zip(cells, _BENCH_COLUMNS)) + f"  {rec['note']}")
-    if args.records and not _write(args.records, "".join(json.dumps(rec) + "\n" for rec in records)):
-        return EXIT_ERROR
+    if args.records:
+        _write(args.records, "".join(json.dumps(rec) + "\n" for rec in records))
     return 1 if any_bad else 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pup", description="Partner Units Problem toolkit")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="pup", description="Partner Units Problem toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve an instance file")
@@ -330,12 +293,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    return args.func(args)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code else 0
+    except (OSError, ValueError) as exc:  # ParseError, SizeGuardError and UnicodeDecodeError included
+        print(f"error: {exc}", file=sys.stderr)
+    except Exception:  # a crash is an error, not an answer: exit 1 means unsatisfiable
+        traceback.print_exc()
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

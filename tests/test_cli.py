@@ -1,5 +1,6 @@
 """End-to-end command line behavior through cli.main()."""
 
+import ast
 import json
 import re
 import shlex
@@ -562,6 +563,83 @@ def test_unwritable_output_exits_3(argv, tmp_path, capsys):
     assert "error:" in err and "no-such-dir" in err
     assert "Traceback" not in err
     assert not (tmp_path / "no-such-dir").exists()
+
+
+# ===== input files that cannot be read, and crashes =====
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["solve", "--instance", "{missing}"], "missing"),
+    (["solve", "--instance", "{latin1}"], "latin1"),
+    (["verify", "--instance", "{missing}", "--solution", "{sol}"], "missing"),
+    (["verify", "--instance", "{rail}", "--solution", "{missing}"], "missing"),
+    (["oracle", "--instance", "{missing}"], "missing"),
+    (["lift", "--instance", "{missing}", "--units", "2"], "missing"),
+    (["reduce", "--binpack", "{missing}"], "missing"),
+    (["bench", "--manifest", "{missing}"], "missing"),
+], ids=["solve", "solve-not-utf8", "verify-instance", "verify-solution", "oracle", "lift",
+     "reduce-binpack", "bench-manifest"])
+def test_unreadable_input_exits_3(argv, bad, tmp_path, capsys):
+    """An input file that is missing or not UTF-8 is exit 3 and a one-line
+    error that names it, not a traceback."""
+    latin1 = tmp_path / "latin1.pup"
+    latin1.write_bytes(emit_instance(rail_instance()).replace("S1", "S\xe9").encode("latin-1"))
+    sol = tmp_path / "rail.sol"
+    assert main(["solve", "--instance", str(REPO_INSTANCES / "rail.pup"), "-o", str(sol)]) == EXIT_SAT
+    capsys.readouterr()
+    paths = {
+        "rail": REPO_INSTANCES / "rail.pup",
+        "sol": sol,
+        "latin1": latin1,
+        "missing": tmp_path / "missing.txt",
+    }
+    rc = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert err.startswith("error:") and str(paths[bad]) in err
+    assert "Traceback" not in err
+
+
+def test_malformed_file_is_named_in_its_error(rail_file, tmp_path, capsys):
+    """verify reads two files: the error names the one at fault."""
+    bad_sol = tmp_path / "bad.sol"
+    bad_sol.write_text("unit u1\nbogus\n", encoding="utf-8")
+    rc = main(["verify", "--instance", str(rail_file), "--solution", str(bad_sol)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert err == f"error: {bad_sol}: line 2: unknown directive 'bogus'\n"
+
+    bad_inst = tmp_path / "bad.pup"
+    bad_inst.write_text("nonsense line\n", encoding="utf-8")
+    rc = main(["verify", "--instance", str(bad_inst), "--solution", str(bad_sol)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert err.startswith(f"error: {bad_inst}: line 1: ") and str(bad_sol) not in err
+
+
+def test_crash_exits_3_with_its_traceback(monkeypatch, capsys):
+    """A crash is an error, not exit 1, which solve documents as unsatisfiable."""
+    from pupsolver import cli
+
+    def broken(inst, cfg):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    rc = main(["solve", "--instance", str(REPO_INSTANCES / "rail.pup")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert "Traceback" in err and "RuntimeError: broken solver" in err
+
+
+def test_only_main_turns_an_exception_into_an_exit_code():
+    """Commands raise and main picks the exit code.  The one handler left in
+    a command is cmd_bench's per-row load, whose failure is a row note."""
+    from pupsolver import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    tries = {fn.name: sum(isinstance(node, ast.Try) for node in ast.walk(fn))
+             for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")}
+    assert {name: n for name, n in tries.items() if n} == {"cmd_bench": 1}
 
 
 # ===== shipped sample instances =====
