@@ -64,6 +64,21 @@ entry point finds the same first solution as without the rule, and needs
 no more nodes unless the component cut would have fired in a skipped
 subtree.
 
+A fourth rule, a failed-boundary memo, works where the cut has no room
+(fewer units unopened than len(order) - i; never at the default budget),
+as component caching does in AND/OR search (Dechter and Mateescu, AIJ
+2007).  No edge crosses a boundary, a position after the start with no
+placed neighbour, so whether order[i:] can be placed depends only on the
+prefix's residual up to renumbering the units: the units with a free slot,
+labelled by their free indicator, sensor and partner slots, the
+partnerships among them and the unopened unit count.  A boundary the
+search backtracks out of had no solution below it (the other rules skip
+only subtrees without one) and the model is as the boundary found it, so
+the memo records that residual; a node entering a boundary of the same
+suffix with a residual on record backtracks as if no unit fit.  Sorting
+the units by label and partners' labels, ties by index, makes equal keys
+isomorphic residuals.  One memo serves every entry of a solve.
+
 The search is deterministic: all tie-breaking is by the stable element
 index and every budget is counted in nodes, so repeated runs produce
 byte-identical solution files on any machine at any load.  The wall clock
@@ -156,7 +171,9 @@ class SearchStats:
       answered, else None;
     - budget_limited: the unit budget is below the element count;
     - refuted_from: the element where the component cut refuted the search,
-      else None.
+      else None;
+    - residual_hits: subtrees the failed-boundary memo skipped, all entries
+      (0 unless the unit budget binds).
     """
 
     rounds: int = 0
@@ -171,6 +188,7 @@ class SearchStats:
     precheck: str | None = None
     budget_limited: bool = False
     refuted_from: str | None = None
+    residual_hits: int = 0
 
     @property
     def entry_points_tried(self) -> int:
@@ -348,6 +366,44 @@ def _unwind(m: PartialModel, order: tuple[int, ...], start: int, i: int) -> tupl
     return path
 
 
+def _residual(m: PartialModel) -> tuple:
+    """The memo's key for m: the unopened unit count, the labels of the
+    units with a free slot, sorted by label and partners' labels, ties by
+    index, and the partnerships among them by position (see the module
+    docstring), flat tuples of ints to keep each record small."""
+    ucap, iucap, partners = m.ucap, m.iucap, m._partners
+    label = {u: (ucap - len(ind), ucap - len(sens), iucap - len(partners[u]))
+             for u, (ind, sens) in enumerate(m._hosted[: m._n_units])
+             if len(ind) < ucap or len(sens) < ucap}
+    units = sorted([(lab, sorted([label[w] for w in partners[u] if w in label]), u) for u, lab in label.items()])
+    pos = {u: k for k, (_, _, u) in enumerate(units)}
+    edges = sorted([(pos[u], pos[w]) for u in pos for w in partners[u] if w in pos and pos[u] < pos[w]])
+    return (m.max_units - m._n_units, tuple([x for lab, _, _ in units for x in lab]),
+            tuple([x for edge in edges for x in edge]))
+
+
+def _suffix(order: tuple[int, ...], i: int) -> tuple[int, int]:
+    """The name of order[i:] at a boundary: order[i], its component's lowest
+    index, and the entry order[0] when it comes later, not in the suffix."""
+    return order[i], order[0] if order[0] > order[i] else -1
+
+
+def _boundaries(nbr: tuple[tuple[int, ...], ...], order: tuple[int, ...], start: int) -> list[bool]:
+    """at[k]: k > start and order[k] has no neighbour in order[:k]."""
+    pos = {e: k for k, e in enumerate(order)}
+    return [k > start and all(pos[nb] > k for nb in nbr[e]) for k, e in enumerate(order)]
+
+
+def _memo_hit(m: PartialModel, order: tuple[int, ...], i: int, memo: dict, marks: list[int]) -> bool:
+    """At a boundary i under the memo: True when m's residual is on record
+    for its suffix, else i joins marks, to be recorded if its subtree fails."""
+    failed = memo.get(_suffix(order, i))
+    if failed and _residual(m) in failed:
+        return True
+    marks.append(i)
+    return False
+
+
 def _search(
     m: PartialModel,
     order: tuple[int, ...],
@@ -356,11 +412,13 @@ def _search(
     node_limit: int,
     stats: SearchStats,
     path: tuple[int, ...] = (),
+    memo: dict | None = None,
 ) -> tuple[Ternary, tuple[int, ...]]:
     """Depth-first search of order[i:] within m.max_units units as one loop;
     m's journal is its stack.  order is a _component_order, with order[:i]
     placed on m and no other element: the component cut reads the placed
-    neighbours (see the module docstring).
+    neighbours (see the module docstring).  memo is the solve's
+    failed-boundary memo, a fresh one when None.
 
     Returns the answer and a path: TRUE with order[i:] placed on m; FALSE;
     or TIMEOUT, at a pause or once the deadline passed.  At every answer but
@@ -376,6 +434,7 @@ def _search(
     0: undoing the placement that opened a unit closes it.  A twin tries only
     the units its previous twin has not yet failed on (see the module docstring).
     """
+    memo = {} if memo is None else memo
     start = i
     prev = _prev_twins(m._twin, order, start)
     # per placed position: the unit count before it was placed; the position
@@ -383,8 +442,15 @@ def _search(
     before = [0] * len(order)
     unit_of = m._elem_unit
     max_units = m.max_units
+    # the memo applies at a boundary where m._n_units - i > slack, never at
+    # the default budget; m._n_units - i never grows down the order
+    slack = max_units - len(order)
+    roots = _boundaries(m._nbr, order, start) if m._n_units - start > slack else None
+    marks = [start]  # start, then each boundary on the path searched under the memo
     for u in path:  # each position entered as the loop below enters it
         before[i] = m._n_units
+        if m._n_units - i > slack and roots[i]:
+            marks.append(i)  # it missed when it was entered
         if not m._place_idx(order[i], u):
             raise RuntimeError(f"replay mismatch: {order[i]} no longer fits on unit {u}")
         i += 1
@@ -397,7 +463,10 @@ def _search(
             return Ternary.TIMEOUT, _unwind(m, order, start, i)
         before[i] = m._n_units
         j = prev[i]
-        if j < 0 or unit_of[order[j]] == before[j]:
+        if m._n_units - i > slack and roots[i] and _memo_hit(m, order, i, memo, marks):
+            stats.residual_hits += 1
+            u = max_units  # a failed residual: as if no unit fit
+        elif j < 0 or unit_of[order[j]] == before[j]:
             # one fresh unit first: fresh units are interchangeable, so a
             # single representative preserves completeness
             if m._n_units < max_units and m._place_idx(order[i], m._n_units):
@@ -416,8 +485,12 @@ def _search(
             if u < hi:
                 break
             stats.backtracks += 1
-            if i == start:
-                return Ternary.FALSE, ()
+            if i == marks[-1]:
+                if i == start:
+                    return Ternary.FALSE, ()
+                # a boundary exhausted under the memo: m is as i found it
+                marks.pop()
+                memo.setdefault(_suffix(order, i), set()).add(_residual(m))
             i -= 1
             u = unit_of[order[i]]
             m._unplace_idx(order[i], u)
@@ -460,7 +533,8 @@ def assign(
     once the first element of a suffix that no edge joins to the placed
     prefix, with enough unused units for all of it, has been searched on a
     fresh unit without a solution, the suffix has no placement.  The search
-    then stops early and stats.refuted_from names that first element.
+    then stops early and stats.refuted_from names that first element.  The
+    search has a failed-boundary memo of its own.
     """
     stats = stats if stats is not None else SearchStats()
     seq = tuple(m.inst.index[e] for e in order.sequence)
@@ -607,9 +681,10 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveOutcome:
     suffix of its visit order that no edge joins to the prefix, that had
     enough unused units for every element in it, and whose first element
     had no solution on a fresh unit (stats.refuted_from names that
-    element).  With the default budget either is a global proof.  Timeout
-    means the deadline, cfg.max_time_ms after the call, passed before any
-    entry point decided.
+    element).  With the default budget either is a global proof; a memo
+    refutation, like an exhausted search, holds within the unit budget.
+    Timeout means the deadline, cfg.max_time_ms after the call, passed
+    before any entry point decided.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     n = len(inst.elements)
@@ -652,6 +727,7 @@ def _solve_rounds(
     # its last pause, as _search returned it); every entry runs on m, which
     # _search leaves empty at every answer but TRUE
     started: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    memo: dict = {}  # the failed-boundary memo, shared by every entry
     budget = 2 * (n + 1)
     while True:
         stats.rounds += 1
@@ -663,7 +739,7 @@ def _solve_rounds(
                     break
                 started.append((_component_order(m._nbr, k), ()))
             order, path = started[p]
-            r, path = _search(m, order, 0, deadline, stats.nodes + share, stats, path)
+            r, path = _search(m, order, 0, deadline, stats.nodes + share, stats, path, memo)
             now = time.monotonic()
             start = inst.elements[k]
             stats.per_entry_ms[start] = stats.per_entry_ms.get(start, 0.0) + (now - t0) * 1000.0

@@ -110,9 +110,10 @@ def test_acceptance_binpack_embedding_equivalence():
     packing refutation may exceed any fixed search budget (the embedded
     search space is the hard direction), so the infeasible side gets a
     bounded budget and is held to not-satisfiable; most cases are refuted
-    outright by the capacity precheck.  Of the searched infeasible packings
-    only (2,2,2)/3 in 2 bins stays open (still open after 25.8M nodes);
-    (1,3)/2 is a proof in about 196k nodes.  Whole family under 60 s."""
+    outright by the capacity precheck.  Every searched infeasible packing
+    is a proof since the failed-boundary memo: (2,2,2)/3 in 2 bins in about
+    0.5M nodes (1.5-1.7 s on 2 vCPUs, still open after 25.8M nodes without
+    the memo) and (1,3)/2 in about 34k.  Whole family under 60 s."""
     t0 = time.monotonic()
     n_sat = n_refuted = n_timeout = 0
     for b in binpack_family(3, (1, 2, 3), (1, 2, 3), (1, 2)):
@@ -133,6 +134,35 @@ def test_acceptance_binpack_embedding_equivalence():
     assert elapsed < 60.0
     print(f"\nPASS: {n_sat} feasible solved, {n_refuted} refuted, "
           f"{n_timeout} held to not-satisfiable within budget, {elapsed:.1f}s")
+
+
+def test_acceptance_memo_agrees_on_four_item_embeddings(monkeypatch):
+    """Over every packing with up to 4 items of size up to 3, bin size up to
+    3 and up to 2 bins (210): with the failed-boundary memo each embedding
+    is decided as binpack_decide says, the longest (2,2,2)/3 in 2 bins in
+    about 0.5M nodes.  The search without the memo, given 1 s each, gives
+    the same answer and bytes wherever it decides (all but (2,2,2)/3 here)."""
+    from pupsolver import solver as solver_module
+
+    answers = {}
+    for b in binpack_family(4, (1, 2, 3), (1, 2, 3), (1, 2)):
+        inst, budget = binpack_to_pup_iucap2(b)
+        res = solve(inst, SolveConfig(max_units=budget, max_time_ms=30_000))
+        assert (res.outcome is Outcome.SATISFIABLE) == binpack_decide(b), b
+        assert res.outcome is not Outcome.TIMEOUT, b
+        if res.solution is not None:
+            assert verify_solution(inst, res.solution) == []
+        answers[b] = res.outcome, res.solution and emit_solution(res.solution)
+    assert len(answers) == 210
+    monkeypatch.setattr(solver_module, "_memo_hit", lambda *args: False)
+    decided = 0
+    for b, answer in answers.items():
+        inst, budget = binpack_to_pup_iucap2(b)
+        res = solve(inst, SolveConfig(max_units=budget, max_time_ms=1_000))
+        if res.outcome is not Outcome.TIMEOUT:
+            assert (res.outcome, res.solution and emit_solution(res.solution)) == answer, b
+            decided += 1
+    print(f"\nPASS: 210 decided with the memo, {decided} of them without it in 1 s")
 
 
 def test_acceptance_lift_equivalence_exhaustive():

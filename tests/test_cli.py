@@ -148,9 +148,9 @@ def test_solve_component_refutation_holds_for_any_unit_count(six_cycle_file, cap
 
 
 def test_solve_timeout(tmp_path, capsys):
-    # three items of 2 in two bins of 3: still open after 25.8M nodes, so
-    # no machine proves it within the 150 ms budget
-    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
+    # four items of 2 in three bins of 3: still open after 6.1M nodes (20 s
+    # on 2 vCPUs), so no machine proves it within the 150 ms budget
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2, 2), 3, 3))
     p = tmp_path / "hard.pup"
     p.write_text(emit_instance(inst), encoding="utf-8")
     rc = main(["solve", "--instance", str(p),
@@ -436,7 +436,7 @@ def test_solve_stats_line_is_the_bench_record(tmp_path, capsys):
     rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
     assert [(r["precheck"], r["refuted_from"]) for r in rows] == [(None, None), ("degree", None), (None, "c0")]
     keys = list(SearchStats().as_dict())
-    same = ("nodes", "backtracks", "rounds", "precheck", "refuted_from")
+    same = ("nodes", "backtracks", "rounds", "precheck", "refuted_from", "residual_hits")
     for name, row, rc in zip(("rail.pup", "star.pup", "cut.pup"), rows, (EXIT_SAT, EXIT_UNSAT, EXIT_UNSAT)):
         capsys.readouterr()
         assert main(["solve", "--instance", str(tmp_path / name), "--stats"]) == rc
@@ -444,6 +444,17 @@ def test_solve_stats_line_is_the_bench_record(tmp_path, capsys):
         assert list(stats) == ["parse_ms", *keys]
         assert [stats[k] for k in same] == [row[k] for k in same], name
         assert list(stats["per_entry_ms"]) == list(row["per_entry_ms"]), name
+
+
+def test_solve_stats_count_memo_hits_under_a_unit_budget(tmp_path, capsys):
+    """(3,) in 2 bins of 2 at its budget of 6 units: the failed-boundary
+    memo skips 190 subtrees of the proof, and the stats line says so."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((3,), 2, 2))
+    p = tmp_path / "three.pup"
+    p.write_text(emit_instance(inst), encoding="utf-8")
+    assert main(["solve", "--instance", str(p), "--max-units", str(budget), "--stats"]) == EXIT_UNSAT
+    stats = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert (stats["nodes"], stats["residual_hits"]) == (6_520, 190)
 
 
 def test_parse_ms_in_solve_stats_and_bench_records(tmp_path, capsys):

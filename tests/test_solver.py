@@ -40,9 +40,13 @@ from pupsolver import solver as solver_module
 from pupsolver.reductions import binpack_to_pup_iucap2
 from pupsolver.core import BinPackingInstance
 from pupsolver.solver import (
+    _boundaries,
     _component_order,
+    _memo_hit,
+    _residual,
     _search,
     _solve_rounds,
+    _suffix,
 )
 
 from datagen import (
@@ -732,23 +736,27 @@ def test_solve_respects_unit_budget():
 
 
 def test_solve_timeout_on_hard_unsat():
-    # three items of 2 in two bins of 3 escape the capacity precheck, and
-    # the proof is far beyond 200 ms: still open after 25.8M nodes
-    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
+    # four items of 2 in three bins of 3 escape the capacity precheck, and
+    # the proof is far beyond 200 ms: still open after 6.1M nodes (20 s on
+    # 2 vCPUs); three items of 2 in two bins of 3 are a proof of about 0.5M
+    # nodes, only about 8x the budget
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2, 2), 3, 3))
     res = solve(inst, SolveConfig(max_time_ms=200, max_units=budget))
     assert res.outcome is Outcome.TIMEOUT
     assert res.solution is None
 
 
 def test_solve_stats_slices_within_budget():
-    # still open after 25.8M nodes, so every entry without an earlier twin
-    # starts (the fifth in the third round, after a few hundred nodes) and runs
-    # until the deadline; the 16 indicators with an earlier twin never start
-    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2), 3, 2))
+    # still open after 6.1M nodes, so every entry without an earlier twin
+    # starts (the seventh in the third round, after a few hundred nodes) and
+    # runs until the deadline; the 24 indicators with an earlier twin never start
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance((2, 2, 2, 2), 3, 3))
     budget_ms = 300
     res = solve(inst, SolveConfig(max_time_ms=budget_ms, max_units=budget))
     stats = res.stats
-    assert list(stats.per_entry_ms) == ["item1_i", "item2_i", "item3_i", "bin1_i1", "bin2_i1"]
+    assert res.outcome is Outcome.TIMEOUT
+    assert list(stats.per_entry_ms) == [
+        "item1_i", "item2_i", "item3_i", "item4_i", "bin1_i1", "bin2_i1", "bin3_i1"]
     total = sum(stats.per_entry_ms.values())
     # every entry runs under the one deadline, checked at every node, so the
     # entries together overrun it by one node at most, plus scheduling noise
@@ -821,9 +829,11 @@ def test_solve_rounds_answer_from_a_later_entry():
 def test_solve_rounds_skip_twin_entries():
     """(3,) in 2 bins of 2: 12 of the 15 indicators have an earlier twin,
     whose search they would repeat, and never start.  Entry 1 alone proves
-    the packing infeasible in 20,494 nodes; it resumes where each of its
-    slices stopped, so the proof ends in the ninth round, where restarting
-    all 15 entries from node 0 in every round took 526,519 nodes."""
+    the packing infeasible in 5,851 nodes (20,494 without the failed-boundary
+    memo), entry 2 in 3,705; each resumes where its last slice stopped and
+    the entries share one memo, so entry 2 ends the proof in the sixth round
+    after 6,520 nodes, where restarting all 15 entries from node 0 in every
+    round took 526,519."""
     inst, _ = binpack_to_pup_iucap2(BinPackingInstance((3,), 2, 2))
     res = solve(inst, SolveConfig(max_units=6, max_time_ms=60_000))
     assert res.outcome is Outcome.UNSATISFIABLE
@@ -832,9 +842,9 @@ def test_solve_rounds_skip_twin_entries():
 
 
 @pytest.mark.parametrize("packing, outcome, entries, nodes", [
-    (((3,), 2, 2), Outcome.UNSATISFIABLE, 3, 34_512),  # a proof over 9 rounds
+    (((3,), 2, 2), Outcome.UNSATISFIABLE, 3, 6_520),  # a proof over 6 rounds
     (((1, 1, 2), 3, 2), Outcome.SATISFIABLE, 4, 1_153),  # entry 4 answers
-    (((1, 3), 2, 2), Outcome.UNSATISFIABLE, 4, 196_020),  # a proof over 11 rounds
+    (((1, 3), 2, 2), Outcome.UNSATISFIABLE, 4, 33_775),  # a proof over 8 rounds
 ], ids=["proof", "later-entry", "long-proof"])
 def test_solve_builds_one_model_for_all_its_entries(monkeypatch, packing, outcome, entries, nodes):
     """Every entry runs on the solve's one model: a paused entry keeps only
@@ -922,21 +932,21 @@ def _check_resumed_in_slices(inst: Instance, max_units: int, start: str | None, 
     order = _entry_order(inst, start)
     ref_m, ref_stats = PartialModel(inst, max_units), SearchStats()
     ref, _ = _search(ref_m, order, 0, FAR_FUTURE, sys.maxsize, ref_stats)
-    m, stats = PartialModel(inst, max_units), SearchStats()
+    m, stats, memo = PartialModel(inst, max_units), SearchStats(), {}
     fresh = snapshot(PartialModel(inst, max_units))
-    r, path = _search(m, order, 0, FAR_FUTURE, step, stats)
+    r, path = _search(m, order, 0, FAR_FUTURE, step, stats, (), memo)
     while r is Ternary.TIMEOUT:  # a pause: the deadline is an hour away
         assert snapshot(m) == fresh
-        r, path = _search(m, order, 0, FAR_FUTURE, stats.nodes + step, stats, path)
+        r, path = _search(m, order, 0, FAR_FUTURE, stats.nodes + step, stats, path, memo)
     assert r is ref
-    assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
-        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
+    assert (stats.nodes, stats.backtracks, stats.refuted_from, stats.residual_hits) == (
+        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from, ref_stats.residual_hits)
     assert snapshot(m) == snapshot(ref_m)
     assert m._journal == ref_m._journal
 
 
 @pytest.mark.parametrize("inst, max_units, start", [
-    (pairs_core_instance(3), 8, "p0"),  # exhausted in 163 nodes
+    (pairs_core_instance(3), 8, "p0"),  # exhausted in 67 nodes, 7 of them memo hits
     (pairs_core_instance(2), 10, "p0"),  # refuted by the component cut
     (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i"),  # satisfiable
 ], ids=["exhausted", "refuted", "satisfiable"])
@@ -1046,12 +1056,14 @@ def test_assign_component_cut_returns_false_and_unwinds(k):
 
 
 def test_component_cut_needs_room_for_the_suffix():
-    # with fewer unused units than suffix elements the cut may not fire:
-    # the search must exhaust the prefix, and the answer is still UNSAT
+    # with fewer unused units than suffix elements the cut may not fire: the
+    # search exhausts the prefix, and the failed-boundary memo skips each
+    # prefix that leaves a residual already refuted; the answer is still UNSAT
     inst = pairs_core_instance(3)
     res = _search_only(inst, max_units=8)
     assert res.outcome is Outcome.UNSATISFIABLE
     assert res.stats.refuted_from is None
+    assert res.stats.residual_hits > 0
     assert not oracle_decide(inst, 8)
 
 
@@ -1135,6 +1147,7 @@ def _check_order_invariant(inst: Instance) -> None:
         order = _entry_order(inst, start)
         pos = {e: k for k, e in enumerate(order)}
         cuts = _cut_positions(inst.adjacency, order)
+        assert _boundaries(inst.adjacency, order, 0) == cuts
         for k, e in enumerate(order):
             if k:
                 assert cuts[k] == all(pos[nb] > k for nb in inst.adjacency[e])
@@ -1231,7 +1244,8 @@ def _entry_order(inst: Instance, start: str | None) -> tuple[int, ...]:
     return _component_order(inst.adjacency, 0 if start is None else inst.index[start])
 
 
-def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool = True):
+def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool = True,
+                  node_limit: int = sys.maxsize):
     """One entry's search from an empty model, with the twin rule or, when
     twins is off, without it (every element its own twin class)."""
     m = PartialModel(inst, max_units)
@@ -1239,7 +1253,7 @@ def _entry_search(inst: Instance, start: str | None, max_units: int, twins: bool
         m._twin = list(range(len(inst.elements)))
     stats = SearchStats()
     order = _entry_order(inst, start)
-    r, _ = _search(m, order, 0, FAR_FUTURE, sys.maxsize, stats)
+    r, _ = _search(m, order, 0, FAR_FUTURE, node_limit, stats)
     return r, stats, snapshot(m)
 
 
@@ -1299,6 +1313,196 @@ def test_twin_rule_keeps_bytes_of_one_one_in_bins_of_one():
     assert res.stats.nodes <= 1000
 
 
+# ===== failed-boundary memo =====
+
+
+def _multi_component_instance(rng: random.Random) -> tuple[Instance, int]:
+    """13-30 elements in connected components of 2-6, ids shuffled within
+    each side, and a tight unit budget: the capacity bound or one more."""
+    ucap, iucap = rng.randint(1, 2), rng.randint(0, 2)
+    ind: list[str] = []
+    sen: list[str] = []
+    edges: list[tuple[str, str]] = []
+    target = rng.randint(13, 30)
+    while len(ind) + len(sen) < target:
+        c = len(ind) + len(sen)
+        ci = [f"c{c}i{a}" for a in range(rng.randint(1, 3))]
+        cs = [f"c{c}s{b}" for b in range(rng.randint(1, 3))]
+        # a spanning tree keeps the component connected, then random edges
+        comp = {(ci[0], cs[0])}
+        comp |= {(x, rng.choice(cs)) for x in ci[1:]} | {(rng.choice(ci), y) for y in cs[1:]}
+        comp |= {(x, y) for x in ci for y in cs if rng.random() < 0.3}
+        ind += ci
+        sen += cs
+        edges += sorted(comp)
+    rng.shuffle(ind)
+    rng.shuffle(sen)
+    low = max(-(-len(ind) // ucap), -(-len(sen) // ucap))
+    return Instance(tuple(ind), tuple(sen), tuple(edges), ucap, iucap), low + rng.randint(0, 1)
+
+
+@pytest.mark.parametrize("packing, most, hits", [
+    (((3,), 2, 2), 12_000, 190),  # 34,512 nodes without the memo
+    (((1, 3), 2, 2), 60_000, 1_262),  # 196,020
+    (((2,), 1, 2), 1_500, 32),  # 2,797
+], ids=["three-in-twos", "one-three-in-twos", "two-in-ones"])
+def test_memo_shortens_bin_packing_proofs(packing, most, hits):
+    """Each gadget's search repeats after every prefix of the others, and
+    most prefixes leave the same free units behind: the memo refutes each
+    such residual once.  residual_hits counts the subtrees it skipped."""
+    inst, budget = binpack_to_pup_iucap2(BinPackingInstance(*packing))
+    res = solve(inst, SolveConfig(max_units=budget, max_time_ms=600_000))
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert res.stats.nodes <= most
+    assert res.stats.residual_hits == res.stats.as_dict()["residual_hits"] == hits
+
+
+@pytest.mark.parametrize("k, most", [(16, 600), (40, 2_000)])
+def test_memo_makes_pairs_core_linear_under_a_tight_budget(k, most):
+    """At max_units = 2k + 2 the pairs on units of their own leave the core
+    too few units for the cut, so the search backtracks through the pairs'
+    placements until enough of them share a unit: 3,564 nodes at k = 16 and
+    20,604 at k = 40 without the memo, quadratic in k.  With it, each
+    residual the core failed on is refuted once: 466 and 1,058 nodes."""
+    res = _search_only(pairs_core_instance(k), 2 * k + 2)
+    assert res.outcome is Outcome.UNSATISFIABLE
+    assert res.stats.residual_hits > 0
+    assert res.stats.nodes <= most
+
+
+def test_memo_stays_off_at_the_default_budget(monkeypatch):
+    """At the default budget the cut always has room, so the memo's boundary
+    table is never built and no residual is looked up or recorded: each node
+    pays one test.  The seed-1729 sweep keeps its 8,546 nodes and 14
+    backtracks, and the five benchmark ladder shapes their n + 1 nodes."""
+    def never(*args):
+        raise AssertionError("the memo ran at the default unit budget")
+
+    monkeypatch.setattr(solver_module, "_boundaries", never)
+    rng = random.Random(1729)
+    nodes = backtracks = 0
+    for _ in range(2000):
+        res = solve(random_instance(rng), SolveConfig(max_time_ms=10_000))
+        assert res.stats.residual_hits == 0
+        nodes += res.stats.nodes
+        backtracks += res.stats.backtracks
+    assert (nodes, backtracks) == (8_546, 14)
+    for shape in LADDER_SHAPES:
+        inst = ladder_instance(*shape, 300)
+        res = solve(inst)
+        assert (res.stats.nodes, res.stats.residual_hits) == (len(inst.elements) + 1, 0)
+
+
+def test_memo_keeps_every_entrys_first_solution(monkeypatch):
+    """Only subtrees without a solution are skipped: every entry of 120
+    multi-component instances at tight budgets gives the same answer and
+    the same first solution with the memo as without it (a search cut at
+    10,000 nodes is left out)."""
+    rng = random.Random(25)
+    compared = hit = 0
+    for _ in range(120):
+        inst, max_units = _multi_component_instance(rng)
+        for start in inst.indicators:
+            r, stats, snap = _entry_search(inst, start, max_units, node_limit=10_000)
+            with monkeypatch.context() as mp:
+                mp.setattr(solver_module, "_memo_hit", lambda *args: False)
+                r0, _, snap0 = _entry_search(inst, start, max_units, node_limit=10_000)
+            if Ternary.TIMEOUT in (r, r0):
+                continue
+            assert r is r0 and snap == snap0, (inst, max_units, start)
+            compared += 1
+            hit += stats.residual_hits > 0
+    assert compared > 1000 and hit > 100
+
+
+def test_memo_suffix_names_determine_the_suffix():
+    """One memo serves every entry of a solve, keyed by the suffix's
+    constant-size name: over every entry order of an instance, boundaries
+    with one name have one set of elements after them."""
+    rng = random.Random(26)
+    for _ in range(300):
+        inst, _ = _multi_component_instance(rng)
+        named: dict = {}
+        for start in inst.indicators:
+            order = _entry_order(inst, start)
+            for i, at in enumerate(_boundaries(inst.adjacency, order, 0)):
+                if at:
+                    suffix = frozenset(order[i:])
+                    assert named.setdefault(_suffix(order, i), suffix) == suffix
+
+
+def _prefix_model(inst: Instance, max_units: int, units: dict[str, int]):
+    """The entry order from inst's first indicator, with its first
+    len(units) elements placed on the units named for them."""
+    order = _entry_order(inst, inst.indicators[0])
+    i = len(units)
+    m = PartialModel(inst, max_units)
+    for e in order[:i]:
+        assert m._place_idx(e, units[inst.elements[e]])
+    return m, order, i
+
+
+def _check_residual_field(inst: Instance, fit: tuple, fail: tuple, field: int) -> None:
+    """fit and fail are (max_units, units) of two prefixes of one entry
+    order that end at the same boundary.  The suffix fits after fit and not
+    after fail, and their residual keys differ in one part alone (0 the
+    unopened count, 1 the unit labels, 2 the partnerships), so a key that
+    lost what tells them apart would let the memo refute the suffix after fit."""
+    (m1, order, i), (m0, _, _) = _prefix_model(inst, *fit), _prefix_model(inst, *fail)
+    k1, k0 = _residual(m1), _residual(m0)
+    assert [a == b for a, b in zip(k1, k0)] == [part != field for part in range(3)]
+    memo = {_suffix(order, i): {k0}}  # fail's residual on record
+    assert _memo_hit(m0, order, i, memo, []) and not _memo_hit(m1, order, i, memo, [])
+    assert _search(m0, order, i, FAR_FUTURE, sys.maxsize, SearchStats())[0] is Ternary.FALSE
+    assert _search(m1, order, i, FAR_FUTURE, sys.maxsize, SearchStats())[0] is Ternary.TRUE
+
+
+def test_memo_key_holds_the_unopened_unit_count():
+    """i0 on a unit of its own leaves a free sensor slot; the edge i1-s0 at
+    iucap 0 needs a unit with both slots free, so a fresh one.  In one solve
+    the labels fix the unit count (their free slots sum to 2 * ucap * units
+    less the prefix), so the count tells budgets apart: 2 units and 1."""
+    inst = Instance(("i0", "i1"), ("s0",), (("i1", "s0"),), 1, 0)
+    _check_residual_field(inst, (2, {"i0": 0}), (1, {"i0": 0}), 0)
+
+
+def test_memo_key_holds_free_partner_slots():
+    """At ucap 1 and iucap 1 the star i2-s0, i2-s2 needs a fresh unit for
+    i2 and one sensor, and a free sensor slot on a unit that can still take
+    a partner.  i0 alone keeps its partner slot; i0 beside s1, whose i1 is
+    on another unit, leaves that unit the free sensor slot and no partner
+    slot."""
+    inst = Instance(("i0", "i1", "i2"), ("s0", "s1", "s2"),
+                    (("i1", "s1"), ("i2", "s0"), ("i2", "s2")), 1, 1)
+    _check_residual_field(inst, (3, {"i0": 0, "i1": 1, "s1": 1}),
+                          (3, {"i0": 0, "i1": 1, "s1": 0}), 1)
+
+
+def test_memo_key_holds_free_slots_per_side():
+    """At ucap 1, iucap 2 and no unit left, the star i2-s1, i2-s3 needs the
+    one unit with a free indicator slot to partner both units with a free
+    sensor slot.  Both prefixes of i0 and the path i1-s0-i3-s2 leave three
+    units with one free slot each, and 2, 1 and 0 free partner slots, the
+    last two partnered; after fit the free indicator slot is on the unit
+    with 1 partner slot, after fail on the unit with none."""
+    inst = Instance(("i0", "i1", "i2", "i3"), ("s0", "s1", "s2", "s3"),
+                    (("i1", "s0"), ("i2", "s1"), ("i2", "s3"), ("i3", "s0"), ("i3", "s2")), 1, 2)
+    _check_residual_field(inst, (4, {"i0": 0, "i1": 1, "s0": 1, "i3": 2, "s2": 3}),
+                          (4, {"i0": 0, "i1": 1, "s0": 2, "i3": 3, "s2": 3}), 1)
+
+
+def test_memo_key_holds_partnerships_among_open_units():
+    """At ucap 1, iucap 2 and no unit left, the edge i3-s0 needs the unit
+    with a free indicator slot and the one with a free sensor slot to be
+    partners: the path s3-i0-s1-i1-s2-i2 leaves the same two labels either
+    way, partnered after fit, and after fail not, with no slot to partner."""
+    inst = Instance(("i0", "i1", "i2", "i3"), ("s0", "s1", "s2", "s3"),
+                    (("i0", "s1"), ("i0", "s3"), ("i1", "s1"), ("i1", "s2"), ("i2", "s2"),
+                     ("i3", "s0")), 1, 2)
+    _check_residual_field(inst, (4, {"i0": 0, "s1": 1, "s3": 2, "i1": 1, "s2": 3, "i2": 3}),
+                          (4, {"i0": 0, "s1": 0, "s3": 1, "i1": 2, "s2": 3, "i2": 3}), 2)
+
+
 # ===== the search loop against its recursive reference =====
 
 
@@ -1319,11 +1523,13 @@ def _cut_positions(nbr: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> 
 
 
 # The recursive search that _search replaced, kept as its oracle with its
-# private result for the component cut, and given the twin rule in
-# recursive form: prev[i] is the position of the previous twin of order[i]
-# (-1 when there is none) and before[k] the unit count before position k
-# was placed.  Its cut reads _cut_positions, which holds for any order,
-# where _search reads the placed neighbours of a breadth-first one.
+# private result for the component cut, and given the twin rule and the
+# failed-boundary memo in recursive form: prev[i] is the position of the
+# previous twin of order[i] (-1 when there is none), before[k] the unit
+# count before position k was placed, and memo maps the set of elements of
+# a suffix to its failed residuals.  Its cut and its boundaries read
+# _cut_positions, which holds for any order, where _search reads the placed
+# neighbours of a breadth-first one.
 _REFUTED = object()
 
 
@@ -1339,6 +1545,8 @@ def _reference_assign(
     cuts: list[bool],
     prev: list[int],
     before: list[int],
+    memo: dict,
+    first: int,
 ) -> Ternary:
     stats.nodes += 1
     if i >= len(order):
@@ -1346,6 +1554,17 @@ def _reference_assign(
     if stats.nodes > node_limit or time.monotonic() > deadline:
         return Ternary.TIMEOUT
     e = order[i]
+    # the failed-boundary memo, where the cut has no room for the suffix
+    suffix = None
+    if max_units - m._n_units < len(order) - i and i > first:
+        if not cuts:
+            cuts.extend(_cut_positions(m._nbr, order))
+        if cuts[i]:
+            suffix = frozenset(order[i:])
+            if _residual(m) in memo.get(suffix, ()):
+                stats.residual_hits += 1
+                stats.backtracks += 1
+                return Ternary.FALSE
     # the twin rule: after a previous twin that went on an existing unit w,
     # with b units before it, only the existing units w .. b - 1
     lo, hi = 0, None
@@ -1361,7 +1580,7 @@ def _reference_assign(
             trace.append((m.inst.elements[e], f"u{u + 1}", "fresh"))
         if m._place_idx(e, u):
             r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace,
-                                  cuts, prev, before)
+                                  cuts, prev, before, memo, first)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
@@ -1380,11 +1599,13 @@ def _reference_assign(
             trace.append((m.inst.elements[e], f"u{u + 1}", "existing"))
         if m._place_idx(e, u):
             r = _reference_assign(m, order, i + 1, deadline, node_limit, max_units, stats, trace,
-                                  cuts, prev, before)
+                                  cuts, prev, before, memo, first)
             if r is not Ternary.FALSE:
                 return r
             m._unplace_idx(e, u)
     stats.backtracks += 1
+    if suffix is not None:
+        memo.setdefault(suffix, set()).add(_residual(m))
     return Ternary.FALSE
 
 
@@ -1425,10 +1646,10 @@ def _assign_matches_reference(
     ref_m, ref_stats, ref_attempts = prefix_model(), SearchStats(), []
     ref = _reference_assign(ref_m, order, first, FAR_FUTURE, node_limit, max_units, ref_stats,
                             ref_attempts, [], _reference_prev_twins(inst, order, first),
-                            [0] * len(order))
+                            [0] * len(order), {}, first)
     assert r is (Ternary.FALSE if ref is _REFUTED else ref)
-    assert (stats.nodes, stats.backtracks, stats.refuted_from) == (
-        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from)
+    assert (stats.nodes, stats.backtracks, stats.refuted_from, stats.residual_hits) == (
+        ref_stats.nodes, ref_stats.backtracks, ref_stats.refuted_from, ref_stats.residual_hits)
     assert attempts == ref_attempts
     if r is not Ternary.TRUE:
         found = prefix_model()
@@ -1470,8 +1691,8 @@ def test_assign_matches_reference_on_disjoint_unions(case):
 # needs: the least node limit under which the search finishes; the leaf
 # that answers TRUE returns before the limit test, so it needs one node less
 @pytest.mark.parametrize("inst, max_units, start, needs, result", [
-    # the cut has no room at 8 units: all 163 nodes of the tree are visited
-    (pairs_core_instance(3), 8, "p0", 163, "false"),
+    # the cut has no room at 8 units: the memo cuts the 163-node tree to 67
+    (pairs_core_instance(3), 8, "p0", 67, "false"),
     (pairs_core_instance(2), 10, "p0", 12, "refuted"),
     # (1, 1) in 2 bins of size 1: 73 nodes, 48 backtracks
     (*binpack_to_pup_iucap2(BinPackingInstance((1, 1), 1, 2)), "item1_i", 72, "true"),
